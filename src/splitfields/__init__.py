@@ -69,4 +69,4 @@ from .splitting import (
     verify_split_radical,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .errors import (
     NotAnIdeal,
     ZeroQuotient,
 )
-from .linalg import Matrix, in_row_space, row_space_basis
+from .linalg import Echelon, Matrix
 
 
 class Algebra:
@@ -290,13 +290,13 @@ def upper_triangular_algebra(n, F):
 # ---------------------------------------------------------------------------
 
 def is_two_sided_ideal(A, vectors):
-    basis = row_space_basis(A.field, vectors)
-    for v in basis:
+    span = Echelon(A.field, vectors)
+    for v in span.basis():
         for i in range(A.dim):
             ei = A.basis_vector(i)
-            if not in_row_space(A.field, basis, A.mul_coords(ei, v)):
+            if not span.contains(A.mul_coords(ei, v)):
                 return False
-            if not in_row_space(A.field, basis, A.mul_coords(v, ei)):
+            if not span.contains(A.mul_coords(v, ei)):
                 return False
     return True
 
@@ -308,28 +308,17 @@ def quotient_algebra(A, ideal_vectors):
     Q-coordinates.  The canonical complement is spanned by the standard basis
     vectors at the non-pivot columns of the ideal's rref basis.
     """
-    basis = row_space_basis(A.field, ideal_vectors)
+    span = Echelon(A.field, ideal_vectors)
     if not is_two_sided_ideal(A, ideal_vectors):
         raise NotAnIdeal("the span is not closed under multiplication")
-    if len(basis) == A.dim:
+    if len(span) == A.dim:
         raise ZeroQuotient("the ideal is the whole algebra")
     field = A.field
-    zero, one = field.zero(), field.one()
-    if basis:
-        mat = Matrix.from_rows(field, basis)
-        red, rank, pivots = mat.rref()
-        ideal_rows = [red.row(i) for i in range(rank)]
-    else:
-        ideal_rows, pivots = [], ()
-    comp = [j for j in range(A.dim) if j not in pivots]
+    comp = [j for j in range(A.dim) if j not in span.pivots]
     qdim = len(comp)
 
     def project(x):
-        x = list(x)
-        for row, pc in zip(ideal_rows, pivots):
-            c = x[pc]
-            if c:
-                x = [a - c * b for a, b in zip(x, row)]
+        x = span.reduce(x)
         return tuple(x[j] for j in comp)
 
     constants = []

@@ -29,7 +29,7 @@ from .fields import (
     identity_embedding,
     subfield_generated,
 )
-from .linalg import Matrix
+from .linalg import Echelon, Matrix, linear_combination
 from .modules import Module, conjugate, hom_space, is_isomorphic
 
 
@@ -93,14 +93,6 @@ def theta_apply(f, M, N, ctx):
     return g
 
 
-def theta_images_independent(hom, ctx):
-    """Images of a hom basis stay linearly independent after embedding."""
-    if not hom.mats:
-        return True
-    rows = [list(map_matrix(ctx.emb, f).vec()) for f in hom.mats]
-    return Matrix.from_rows(ctx.emb.target, rows).rank() == len(rows)
-
-
 def end_algebra_extension_check(M, ctx):
     """[End(M)]^F and End(M^F) agree via the embedded basis, as F-algebras."""
     from .modules import end_algebra
@@ -112,26 +104,18 @@ def end_algebra_extension_check(M, ctx):
     endF, hbF = end_algebra(MF)
     if endA.dim != endF.dim:
         return False
-    field = ctx.emb.target
     images = [map_matrix(ctx.emb, f) for f in hb.mats]
-    rows = [list(g.vec()) for g in images]
-    span = Matrix.from_rows(field, rows)
-    if span.rank() != len(images):
+    span = Echelon(ctx.emb.target, [g.vec() for g in images])
+    if len(span) != len(images):
         return False
     # multiplicativity: embedded products match embedded structure constants
     for i, gi in enumerate(images):
         for j, gj in enumerate(images):
-            prod_ = gi @ gj
-            expected = Matrix.zeros(field, M.dim, M.dim)
-            for l, c in enumerate(endA.constants[i][j]):
-                if c:
-                    expected = expected + images[l].scale(ctx.emb.apply(c))
-            if prod_ != expected:
+            coeffs = [ctx.emb.apply(c) for c in endA.constants[i][j]]
+            if gi @ gj != linear_combination(coeffs, images):
                 return False
     # the images span the full extended endomorphism space
-    target_rows = [list(f.vec()) for f in hbF.mats]
-    combined = Matrix.from_rows(field, rows + target_rows)
-    return combined.rank() == len(images)
+    return all(span.contains(f.vec()) for f in hbF.mats)
 
 
 # ---------------------------------------------------------------------------

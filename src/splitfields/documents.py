@@ -76,7 +76,9 @@ def _scalar_out(c, characteristic):
 
 def _scalar_in(v, characteristic, where):
     if characteristic:
-        if not isinstance(v, int) or not 0 <= v < characteristic:
+        # JSON true/false parse to bool, a subclass of int, and are no scalars
+        if isinstance(v, bool) or not isinstance(v, int) \
+                or not 0 <= v < characteristic:
             raise InputError(f"{where}: expected an integer in [0, {characteristic})")
         return v
     if not isinstance(v, str):

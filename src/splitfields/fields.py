@@ -33,14 +33,9 @@ FINITE_FIELD = "finite_field"
 # ---------------------------------------------------------------------------
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    from sympy import isprime
+
+    return isprime(n)
 
 
 def _bp_trim(c):
@@ -400,26 +395,6 @@ class FieldElement:
         return f"({_poly_str(self.coords)})"
 
 
-def field_arith(op, a, b=None):
-    """Dispatcher over the element operations; ``inv`` raises on zero."""
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    if b is None:
-        raise BadParams(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "eq":
-        a._check(b)
-        return a == b
-    raise BadParams(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
@@ -519,15 +494,12 @@ def embedding_preimage(emb, elem):
 
     if elem.field != emb.target:
         raise FieldMismatch("element does not belong to the embedding target")
-    base = prime_field(emb.target.characteristic) if emb.target.characteristic \
-        else rationals()
-    pows = emb._powers()
-    cols = [[base.from_base(c) for c in g.coords] for g in pows]
+    base = _prime_base(emb.target)
+    cols = [_base_coords(g, base) for g in emb._powers()]
     mat = Matrix(base, emb.target.degree, emb.source.degree,
                  [[cols[j][i] for j in range(emb.source.degree)]
                   for i in range(emb.target.degree)])
-    rhs = [base.from_base(c) for c in elem.coords]
-    sol = mat.solve(rhs)
+    sol = mat.solve(_base_coords(elem, base))
     if sol is None:
         return None
     return emb.source.element([c.coords[0] for c in sol])
@@ -561,68 +533,39 @@ def element_min_poly(a):
     from .linalg import Matrix
 
     F = a.field
-    base = prime_field(F.characteristic) if F.characteristic else rationals()
-    pows = [F.one()]
-    for k in range(1, F.degree + 1):
-        pows.append(pows[-1] * a)
-        rows = [[base.from_base(c) for c in e.coords] for e in pows[:-1]]
-        mat = Matrix(base, F.degree, k, [[rows[j][i] for j in range(k)]
-                                         for i in range(F.degree)])
-        rhs = [base.from_base(c) for c in pows[-1].coords]
-        sol = mat.solve(rhs)
-        if sol is not None:
-            coeffs = [-c.coords[0] for c in sol] + [1]
-            if F.characteristic:
-                coeffs = [c % F.characteristic for c in coeffs]
-            return coeffs
-    raise RuntimeError("unreachable: the element degree is bounded by the field degree")
+    base = _prime_base(F)
+    # row j holds a * x^j: the matrix of multiplication by a on row vectors
+    mult = Matrix.from_rows(base, [_base_coords(a * F.element([0] * j + [1]), base)
+                                   for j in range(F.degree)])
+    return [c.coords[0] for c in mult.min_poly()]
 
 
 def element_degree(a):
     return len(element_min_poly(a)) - 1
 
 
-def _span_rows(F, elems):
-    """Row space over the prime base of the coordinate vectors of ``elems``."""
-    from .linalg import Matrix
-
-    base = prime_field(F.characteristic) if F.characteristic else rationals()
-    rows = [[base.from_base(c) for c in e.coords] for e in elems]
-    mat = Matrix(base, len(rows), F.degree, rows)
-    red, rank, _ = mat.rref()
-    return [red.row(i) for i in range(rank)], base
+def _prime_base(F):
+    return prime_field(F.characteristic) if F.characteristic else rationals()
 
 
-def _in_span(rows, vec, base, width):
-    from .linalg import Matrix
-
-    if not rows:
-        return not any(bool(c) for c in vec)
-    mat = Matrix(base, width, len(rows),
-                 [[rows[j][i] for j in range(len(rows))] for i in range(width)])
-    return mat.solve(list(vec)) is not None
+def _base_coords(elem, base):
+    return [base.from_base(c) for c in elem.coords]
 
 
 def _closure_span(F, gens):
-    """Basis (as elements of F) of the subfield generated by the prime base and gens."""
-    elems = [F.one()] + list(gens)
-    rows, base = _span_rows(F, elems)
-    basis = [F.one()] + [g for g in gens]
-    while True:
-        rows, base = _span_rows(F, basis)
-        grown = False
-        current = list(basis)
-        for b in current:
-            for g in gens:
-                prod_ = b * g
-                vec = [base.from_base(c) for c in prod_.coords]
-                if not _in_span(rows, vec, base, F.degree):
-                    basis.append(prod_)
-                    rows, base = _span_rows(F, basis)
-                    grown = True
-        if not grown:
-            break
-    return len(rows)
+    """Dimension over the prime base of the subfield generated by ``gens``."""
+    from .linalg import Echelon
+
+    base = _prime_base(F)
+    span = Echelon(base)
+    todo = [e for e in [F.one()] + list(gens) if span.insert(_base_coords(e, base))]
+    while todo:
+        b = todo.pop()
+        for g in gens:
+            prod_ = b * g
+            if span.insert(_base_coords(prod_, base)):
+                todo.append(prod_)
+    return len(span)
 
 
 def subfield_generated(F, gens):

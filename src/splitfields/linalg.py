@@ -3,10 +3,13 @@
 Matrices are immutable row-major grids of field elements.  All algorithms are
 exact Gaussian elimination; kernel bases follow the canonical free-variable
 convention (each free column set to 1 in order) so downstream bases are
-reproducible bit for bit.
+reproducible bit for bit.  Span, membership and Krylov questions go through
+one incremental echelon basis, :class:`Echelon`.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
 
@@ -166,30 +169,10 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form: ``(R, rank, pivot column tuple)``."""
-        m = [list(r) for r in self.entries]
-        rows, cols = self.rows, self.cols
-        pivots = []
-        pr = 0
-        for pc in range(cols):
-            pivot_row = None
-            for i in range(pr, rows):
-                if m[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = m[pr][pc].inverse()
-            m[pr] = [inv * e for e in m[pr]]
-            for i in range(rows):
-                if i != pr and m[i][pc]:
-                    c = m[i][pc]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == rows:
-                break
-        return Matrix(self.field, rows, cols, m), len(pivots), tuple(pivots)
+        span = Echelon(self.field, self.entries)
+        zeros = [[self.field.zero()] * self.cols] * (self.rows - len(span))
+        return (Matrix(self.field, self.rows, self.cols, span.basis() + zeros),
+                len(span), tuple(span.pivots))
 
     def rank(self):
         return self.rref()[1]
@@ -253,43 +236,101 @@ class Matrix:
         return tuple(e for r in self.entries for e in r)
 
     def min_poly(self):
-        """Monic minimal polynomial, little-endian list of field elements."""
+        """Monic minimal polynomial, little-endian list of field elements.
+
+        Krylov on vec(X^k) tagged with the unit vector e_k: the first power
+        that reduces to zero modulo the lower ones leaves the monic
+        dependency in its tags.
+        """
         if self.rows != self.cols:
             raise NotSquare("minimal polynomial of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return [self.field.one()]
-        powers = [Matrix.identity(self.field, n)]
-        while True:
-            k = len(powers)
-            cols = [p.vec() for p in powers]
-            mat = Matrix(self.field, n * n, k,
-                         [[cols[j][i] for j in range(k)] for i in range(n * n)])
-            nxt = powers[-1] @ self
-            sol = mat.solve(list(nxt.vec()))
-            if sol is not None:
-                return [-c for c in sol] + [self.field.one()]
-            powers.append(nxt)
+        zero, one = self.field.zero(), self.field.one()
+        span = Echelon(self.field)
+        power = Matrix.identity(self.field, n)
+        for k in range(n + 1):
+            tags = [zero] * (n + 1)
+            tags[k] = one
+            v = span.reduce(power.vec() + tuple(tags))
+            if not any(v[:n * n]):
+                return v[n * n:n * n + k + 1]
+            span.insert(v)
+            power = power @ self
+        raise RuntimeError("unreachable: Cayley-Hamilton bounds the degree by n")
+
+
+class Echelon:
+    """A row space grown one vector at a time, kept in reduced row echelon form.
+
+    ``rows`` are the nonzero rref rows of the span in pivot order and
+    ``pivots`` their pivot columns.  RREF is unique, so the basis depends on
+    the span only, never on the order of insertion.  A vector of the span has
+    its entries at the pivot columns as coordinates in this basis.
+    """
+
+    __slots__ = ("field", "rows", "pivots")
+
+    def __init__(self, field, vectors=()):
+        self.field = field
+        self.rows = []
+        self.pivots = []
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """``vec`` minus its part in the span; zero at every pivot column."""
+        v = list(vec)
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
+            if c:
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def insert(self, vec):
+        """Add ``vec`` to the span; True when the span grew."""
+        v = self.reduce(vec)
+        pc = next((j for j, c in enumerate(v) if c), None)
+        if pc is None:
+            return False
+        inv = v[pc].inverse()
+        v = tuple(inv * c if c else c for c in v)
+        for i, row in enumerate(self.rows):
+            c = row[pc]
+            if c:
+                self.rows[i] = tuple(a - c * b if b else a for a, b in zip(row, v))
+        k = bisect(self.pivots, pc)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, pc)
+        return True
+
+    def basis(self):
+        return list(self.rows)
+
+
+def linear_combination(coeffs, mats):
+    """The sum of c * M over the nonzero coefficients (a zero matrix if none)."""
+    first = mats[0]
+    out = Matrix.zeros(first.field, first.rows, first.cols)
+    for c, m in zip(coeffs, mats):
+        if c:
+            out = out + m.scale(c)
+    return out
 
 
 def row_space_basis(field, vectors):
     """Canonical (rref) basis of the span of the given coordinate tuples."""
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    mat = Matrix.from_rows(field, vectors)
-    red, rank, _ = mat.rref()
-    return [red.row(i) for i in range(rank)]
+    return Echelon(field, vectors).basis()
 
 
 def in_row_space(field, basis, vec):
-    """Membership of ``vec`` in the span of ``basis`` (rows assumed independent)."""
-    if not basis:
-        return not any(bool(c) for c in vec)
-    cols = len(vec)
-    mat = Matrix(field, cols, len(basis),
-                 [[basis[j][i] for j in range(len(basis))] for i in range(cols)])
-    return mat.solve(list(vec)) is not None
+    """Membership of ``vec`` in the span of ``basis``."""
+    return Echelon(field, basis).contains(vec)
 
 
 def kronecker(a, b):

@@ -12,7 +12,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .errors import AlgebraMismatch, BadParams, NotInvariant
-from .linalg import Matrix, in_row_space, row_space_basis
+from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 
 
 class Module:
@@ -33,11 +33,7 @@ class Module:
 
     def action_of(self, coords):
         """The action matrix of an arbitrary algebra element."""
-        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for c, m in zip(coords, self.actions):
-            if c:
-                out = out + m.scale(c)
-        return out
+        return linear_combination(coords, self.actions)
 
     def key(self):
         return (self.algebra.key(), self.dim,
@@ -78,19 +74,15 @@ def zero_module(A):
 
 def spin(M, seed_vectors):
     """Canonical basis of the submodule generated by the seed vectors."""
-    field = M.algebra.field
-    basis = row_space_basis(field, [v for v in seed_vectors if any(bool(c) for c in v)])
-    frontier = list(basis)
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for act in M.actions:
-                w = act.apply(v)
-                if any(bool(c) for c in w) and not in_row_space(field, basis, w):
-                    basis = row_space_basis(field, basis + [w])
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return basis
+    span = Echelon(M.algebra.field)
+    frontier = [v for v in seed_vectors if span.insert(v)]
+    while frontier and len(span) < M.dim:
+        v = frontier.pop()
+        for act in M.actions:
+            w = act.apply(v)
+            if span.insert(w):
+                frontier.append(w)
+    return span.basis()
 
 
 def is_invariant(M, vectors):
@@ -108,48 +100,21 @@ class SubQuotient(NamedTuple):
 def sub_quotient(M, sub_vectors):
     """Restricted and induced modules on canonical bases."""
     field = M.algebra.field
-    basis = row_space_basis(field, sub_vectors)
+    span = Echelon(field, sub_vectors)
+    basis = span.basis()
     if spin(M, basis) != basis:
         raise NotInvariant("the subspace is not closed under the action")
     s = len(basis)
-    if basis:
-        _, _, pivots = Matrix.from_rows(field, basis).rref()
-    else:
-        pivots = ()
-    comp = tuple(j for j in range(M.dim) if j not in pivots)
-
-    def reduce_mod_sub(v):
-        v = list(v)
-        for row, pc in zip(basis, pivots):
-            c = v[pc]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v[j] for j in comp)
-
-    basis_mat = Matrix(field, M.dim, s,
-                       [[basis[j][i] for j in range(s)] for i in range(M.dim)]) \
-        if s else None
+    comp = tuple(j for j in range(M.dim) if j not in span.pivots)
     sub_actions, quot_actions = [], []
     for act in M.actions:
-        if s:
-            cols = []
-            for v in basis:
-                w = act.apply(v)
-                sol = basis_mat.solve(list(w))
-                cols.append(sol)
-            sub_actions.append(Matrix(field, s, s,
-                                      [[cols[j][i] for j in range(s)]
-                                       for i in range(s)]))
-        else:
-            sub_actions.append(Matrix.zeros(field, 0, 0))
-        qcols = []
-        for j in comp:
-            e = [field.zero()] * M.dim
-            e[j] = field.one()
-            qcols.append(reduce_mod_sub(act.apply(e)))
+        # coordinates in the rref basis are the entries at the pivot columns
+        images = [act.apply(v) for v in basis]
+        sub_actions.append(Matrix(field, s, s, [[w[pc] for w in images]
+                                                for pc in span.pivots]))
+        images = [span.reduce(act.col(j)) for j in comp]
         quot_actions.append(Matrix(field, len(comp), len(comp),
-                                   [[qcols[j][i] for j in range(len(comp))]
-                                    for i in range(len(comp))]))
+                                   [[w[i] for w in images] for i in comp]))
     S = Module(M.algebra, s, sub_actions)
     Q = Module(M.algebra, len(comp), quot_actions)
     return SubQuotient(S, Q, tuple(basis), comp)
@@ -173,17 +138,6 @@ def conjugate(M, P):
     if Pinv is None:
         raise BadParams("change of basis must be invertible")
     return Module(M.algebra, M.dim, [Pinv @ a @ P for a in M.actions])
-
-
-def inflate(M, projection, A):
-    """Pull a module over a quotient algebra back along the projection."""
-    actions = []
-    for i in range(A.dim):
-        coords = projection.apply(
-            [A.field.one() if j == i else A.field.zero() for j in range(A.dim)])
-        # projection rows are Q-coords of A basis vectors; columns here
-        actions.append(M.action_of(coords))
-    return Module(A, M.dim, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +249,10 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
         from itertools import product as iproduct
 
         for coeffs in iproduct(*[list(field.elements())] * d):
-            f = _combine(hb.mats, coeffs, field)
-            if f is not None and f.is_invertible():
-                return IsoResult(True, f)
+            if any(coeffs):
+                f = linear_combination(coeffs, hb.mats)
+                if f.is_invertible():
+                    return IsoResult(True, f)
         return IsoResult(False, None)
     rng = random.Random(seed)
     for _ in range(_RANDOM_CAP):
@@ -307,17 +262,9 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
                       for _ in range(d)]
         else:
             coeffs = [field.from_base(rng.randint(-3, 3)) for _ in range(d)]
-        f = _combine(hb.mats, coeffs, field)
-        if f is not None and f.is_invertible():
-            return IsoResult(True, f)
+        if any(coeffs):
+            f = linear_combination(coeffs, hb.mats)
+            if f.is_invertible():
+                return IsoResult(True, f)
     return IsoResult(None, None)
 
-
-def _combine(mats, coeffs, field):
-    out = None
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        term = m.scale(c)
-        out = term if out is None else out + term
-    return out

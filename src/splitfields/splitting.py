@@ -30,7 +30,7 @@ from .fields import (
     identity_embedding,
 )
 from .errors import NoEmbedding
-from .linalg import Matrix, row_space_basis
+from .linalg import Echelon, Matrix, row_space_basis
 from .modules import hom_space, is_isomorphic
 from .structure import composition_factors, radical, simple_modules
 
@@ -72,8 +72,7 @@ def is_absolutely_simple(S, assume_simple=False, seed=0):
         if len(factors) != 1 or factors[0][1] != 1:
             raise NotSimple("the module has composition length != 1")
     dim_end = len(hom_space(S, S).mats)
-    rows = [list(a.vec()) for a in S.actions]
-    image_rank = Matrix.from_rows(S.algebra.field, rows).rank()
+    image_rank = len(Echelon(S.algebra.field, [a.vec() for a in S.actions]))
     flag = dim_end == 1
     if flag != (image_rank == S.dim * S.dim):
         raise InternalInvariantError(
@@ -250,4 +249,4 @@ def _radical_submodule(M, rad_rows):
     for r in rad_rows:
         img = M.action_of(r)
         vecs.extend(img.transpose().entries)
-    return row_space_basis(field, [v for v in vecs if any(bool(c) for c in v)])
+    return row_space_basis(field, vecs)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import polys
 from .errors import Inconclusive, TooLarge
-from .linalg import Matrix, in_row_space, row_space_basis
+from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 from .modules import (
     Module,
     hom_space,
@@ -169,8 +169,7 @@ def _find_proper_submodule(M, seed):
             for r in rad:
                 img = M.action_of(r)
                 vecs.extend(img.transpose().entries)
-            basis = row_space_basis(field, [v for v in vecs if any(bool(c) for c in v)])
-            found = _proper(M, spin(M, basis))
+            found = _proper(M, spin(M, vecs))
             if found:
                 return found
         semisimple_known = True
@@ -218,12 +217,7 @@ def _find_proper_submodule(M, seed):
     candidates = list(hb.mats)
     for _ in range(20):
         coeffs = [_random_scalar(field, rng) for _ in hb.mats]
-        extra = None
-        for c, m in zip(coeffs, hb.mats):
-            term = m.scale(c)
-            extra = term if extra is None else extra + term
-        if extra is not None:
-            candidates.append(extra)
+        candidates.append(linear_combination(coeffs, hb.mats))
     for f in candidates:
         if _is_scalar_matrix(f, scalars):
             continue
@@ -289,23 +283,13 @@ def _division_certificate(field, mats, rng):
         from itertools import product as iproduct
 
         for coeffs in iproduct(*[list(field.elements())] * d):
-            f = None
-            for c, m in zip(coeffs, mats):
-                if c:
-                    term = m.scale(c)
-                    f = term if f is None else f + term
-            if f is not None and not f.is_invertible():
+            if any(coeffs) and not linear_combination(coeffs, mats).is_invertible():
                 return False
         return True
     if not field.characteristic:
         for _ in range(_DIVISION_CAP):
             coeffs = [field.from_base(rng.randint(-5, 5)) for _ in range(d)]
-            f = None
-            for c, m in zip(coeffs, mats):
-                if c:
-                    term = m.scale(c)
-                    f = term if f is None else f + term
-            if f is not None and not f.is_invertible():
+            if any(coeffs) and not linear_combination(coeffs, mats).is_invertible():
                 return False
         return True
     return False
@@ -412,11 +396,10 @@ def oracle_composition_series_dims(M):
     current = []
     dims = []
     while len(current) < M.dim:
+        span = Echelon(field, current)
         best = None
         for v in _all_vectors(field, M.dim):
-            if not any(bool(c) for c in v):
-                continue
-            if in_row_space(field, current, v):
+            if span.contains(v):
                 continue
             cand = spin(M, list(current) + [v])
             if best is None or len(cand) < len(best):

@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
 from splitfields import documents as docs
+from splitfields.algebras import cyclic_group_algebra, diagonal_algebra
 from splitfields.basechange import extend_algebra
 from splitfields.cli import main
 from splitfields.corpus import bundled_algebras
+from splitfields.errors import BadParams
 from splitfields.fields import embed_find, finite_field_of_degree, prime_field
 from splitfields.structure import composition_factors
 
@@ -118,6 +121,25 @@ def test_radical_extend_verify(capsys):
 def test_oracle_compare_small(capsys):
     code, doc = run(capsys, "oracle-compare", "--count", "3")
     assert code == 0 and doc["payload"]["mismatches"] == []
+
+
+def test_json_boolean_scalar_exits_2(tmp_path):
+    doc = docs.algebra_out(cyclic_group_algebra(2, prime_field(3)))
+    doc["payload"]["constants"][0] = True  # was 1: the algebra is unchanged
+    path = tmp_path / "bool.json"
+    path.write_text(docs.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+
+
+def test_large_prime_field(tmp_path):
+    t0 = time.perf_counter()
+    F = prime_field(2**61 - 1)
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(BadParams):
+        prime_field(2**61 + 1)
+    path = tmp_path / "line.json"
+    path.write_text(docs.dumps(docs.algebra_out(diagonal_algebra(1, F))))
+    assert main(["validate", str(path)]) == 0
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitfields.errors import DimensionMismatch
-from splitfields.fields import prime_field, rationals
-from splitfields.linalg import Matrix, in_row_space, row_space_basis
+from splitfields.fields import finite_field_of_degree, prime_field, rationals
+from splitfields.linalg import Echelon, Matrix, in_row_space, row_space_basis
 from splitfields import polys
 
 Q = rationals()
@@ -82,3 +83,78 @@ def test_kronecker_dimensions():
     k = a.kronecker(b)
     assert (k.rows, k.cols) == (4, 4)
     assert k.entries[0][1] == Q.one()
+
+
+# -- property tests of the echelon basis (fixed examples, no random seed) ----
+
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
+                        max_examples=60)
+
+FIELDS = (prime_field(2), prime_field(3), finite_field_of_degree(2, 2), Q)
+RATIONALS = [Fraction(c) for c in (0, 0, 1, -1, 2)] + [Fraction(1, 2)]
+
+
+def _scalars(field):
+    if field.characteristic:
+        return st.sampled_from(list(field.elements()))
+    return st.sampled_from(RATIONALS).map(lambda c: Q.element([c]))
+
+
+@st.composite
+def vectors(draw, square=False):
+    """(field, list of row vectors); square=True gives the rows of an n x n matrix."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(1, 4))
+    rows = cols if square else draw(st.integers(1, 5))
+    scalar = _scalars(field)
+    return field, [tuple(draw(scalar) for _ in range(cols)) for _ in range(rows)]
+
+
+def _columns(field, vs):
+    """The matrix with the vectors as its columns."""
+    return Matrix(field, len(vs[0]), len(vs), list(zip(*vs)))
+
+
+def _min_poly_by_solve(X):
+    """Reference: solve for X^k in the span of the lower powers, growing k."""
+    powers = [Matrix.identity(X.field, X.rows)]
+    while True:
+        nxt = powers[-1] @ X
+        sol = _columns(X.field, [p.vec() for p in powers]).solve(list(nxt.vec()))
+        if sol is not None:
+            return [-c for c in sol] + [X.field.one()]
+        powers.append(nxt)
+
+
+@DERANDOMIZED
+@given(vectors())
+def test_echelon_basis_is_the_rref(case):
+    field, vs = case
+    red, rank, _ = Matrix.from_rows(field, vs).rref()
+    assert Echelon(field, vs).basis() == [red.row(i) for i in range(rank)]
+    assert Echelon(field, reversed(vs)).basis() == [red.row(i) for i in range(rank)]
+
+
+@DERANDOMIZED
+@given(vectors(), st.data())
+def test_echelon_contains_agrees_with_solve(case, data):
+    field, vs = case
+    scalar = _scalars(field)
+    if data.draw(st.booleans()):
+        w = tuple(data.draw(scalar) for _ in vs[0])
+    else:
+        coeffs = [data.draw(scalar) for _ in vs]
+        w = _columns(field, vs).apply(coeffs)
+    expected = _columns(field, vs).solve(list(w)) is not None
+    assert Echelon(field, vs).contains(w) == expected
+
+
+@DERANDOMIZED
+@given(vectors(square=True))
+def test_min_poly_is_the_monic_annihilator(case):
+    field, rows = case
+    X = Matrix.from_rows(field, rows)
+    mp = X.min_poly()
+    assert mp[-1] == field.one()
+    assert polys.eval_matrix(mp, X).is_zero()
+    assert mp == _min_poly_by_solve(X)
