@@ -21,7 +21,7 @@ from .linalg import Echelon, Matrix
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "basis_labels", "constants", "unit")
+    __slots__ = ("field", "dim", "basis_labels", "constants", "unit", "_key")
 
     def __init__(self, field, dim, basis_labels, constants, unit):
         if dim < 1:
@@ -41,6 +41,7 @@ class Algebra:
                 for e in vec:
                     if e.field != field:
                         raise FieldMismatch("structure constant outside the field")
+        self._key = None
 
     # -- multiplication ----------------------------------------------------
 
@@ -81,10 +82,13 @@ class Algebra:
         return tuple(v)
 
     def key(self):
-        return (self.field, self.dim,
-                tuple(tuple(tuple(e.coords for e in v) for v in row)
-                      for row in self.constants),
-                tuple(e.coords for e in self.unit))
+        # computed once: modules compare and hash their algebra through it
+        if self._key is None:
+            self._key = (self.field, self.dim,
+                         tuple(tuple(tuple(e.coords for e in v) for v in row)
+                               for row in self.constants),
+                         tuple(e.coords for e in self.unit))
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.key() == other.key()

@@ -68,8 +68,9 @@ class Matrix:
         return hash((self.field, self.entries))
 
     def key(self):
-        """Canonical hashable key (coordinate tuples only)."""
-        return tuple(tuple(e.coords for e in r) for r in self.entries)
+        """Canonical hashable key: the shape and the flat row-major coordinates."""
+        return (self.rows, self.cols,
+                tuple(c for r in self.entries for e in r for c in e.coords))
 
     def is_zero(self):
         return not any(any(r) for r in self.entries)

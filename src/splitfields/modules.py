@@ -112,9 +112,9 @@ def sub_quotient(M, sub_vectors):
         images = [act.apply(v) for v in basis]
         sub_actions.append(Matrix(field, s, s, [[w[pc] for w in images]
                                                 for pc in span.pivots]))
-        images = [span.reduce(act.col(j)) for j in comp]
+        residues = [span.reduce(act.col(j)) for j in comp]
         quot_actions.append(Matrix(field, len(comp), len(comp),
-                                   [[w[i] for w in images] for i in comp]))
+                                   [[w[i] for w in residues] for i in comp]))
     S = Module(M.algebra, s, sub_actions)
     Q = Module(M.algebra, len(comp), quot_actions)
     return SubQuotient(S, Q, tuple(basis), comp)
@@ -267,4 +267,3 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
             if f.is_invertible():
                 return IsoResult(True, f)
     return IsoResult(None, None)
-
