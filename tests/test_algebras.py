@@ -1,6 +1,19 @@
+"""Constructions, quotients and the axiom check on structure constants.
+
+``golden_validate.json`` freezes the report of ``algebra_validate`` on every
+bundled algebra with one structure constant corrupted (one added) at a few
+fixed positions.  It is written from the current code by
+
+    PYTHONPATH=src python tests/test_algebras.py
+"""
+
+import json
+from pathlib import Path
+
 import pytest
 
 from splitfields.algebras import (
+    Algebra,
     algebra_validate,
     cyclic_group_algebra,
     diagonal_algebra,
@@ -12,11 +25,13 @@ from splitfields.algebras import (
     quotient_algebra,
     upper_triangular_algebra,
 )
+from splitfields.corpus import bundled_algebras
 from splitfields.errors import BadParams, NotAGroup, NotAnIdeal
 from splitfields.fields import finite_field_of_degree, prime_field, rationals
 
 Q = rationals()
 F2 = prime_field(2)
+GOLDEN_VALIDATE = Path(__file__).resolve().parent / "golden_validate.json"
 
 
 @pytest.mark.parametrize("make", [
@@ -79,3 +94,33 @@ def test_quotient_rejects_non_ideal():
 def test_opposite_is_valid():
     A = upper_triangular_algebra(2, Q)
     assert algebra_validate(A.opposite()) is None
+
+
+def corrupted_positions(d):
+    """Fixed (i, j, l): the unit's row, off-diagonal products and the corner."""
+    return sorted({(0, 0, 0), (1 % d, 2 % d, 0), ((d - 2) % d, 1 % d, d - 1),
+                   (d - 1, d - 1, 0), (d // 2, d - 1, d // 2)})
+
+
+def corrupted(A, i, j, l):
+    """A with one added to the structure constant c[i][j][l]."""
+    constants = [[list(v) for v in row] for row in A.constants]
+    constants[i][j][l] = constants[i][j][l] + A.field.one()
+    return Algebra(A.field, A.dim, A.basis_labels, constants, A.unit)
+
+
+def validate_reports():
+    return [{"algebra": name, "position": [i, j, l],
+             "report": algebra_validate(corrupted(A, i, j, l))}
+            for name, A in bundled_algebras().items()
+            for i, j, l in corrupted_positions(A.dim)]
+
+
+def test_validate_reports_are_unchanged():
+    golden = json.loads(GOLDEN_VALIDATE.read_text(encoding="utf-8"))
+    assert validate_reports() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_VALIDATE.write_text(json.dumps(validate_reports(), indent=1) + "\n",
+                               encoding="utf-8")
