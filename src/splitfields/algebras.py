@@ -63,18 +63,6 @@ class Algebra:
                         out[l] = out[l] + c * v
         return tuple(out)
 
-    def left_mult_matrix(self, x):
-        """The matrix of left multiplication by the coordinate vector x."""
-        zero = self.field.zero()
-        cols = []
-        for j in range(self.dim):
-            basis_j = [zero] * self.dim
-            basis_j[j] = self.field.one()
-            cols.append(self.mul_coords(x, basis_j))
-        return Matrix(self.field, self.dim, self.dim,
-                      [[cols[j][l] for j in range(self.dim)]
-                       for l in range(self.dim)])
-
     def basis_vector(self, i):
         zero = self.field.zero()
         v = [zero] * self.dim
@@ -102,8 +90,11 @@ class Algebra:
     def regular_module(self):
         from .modules import Module
 
-        actions = [self.left_mult_matrix(self.basis_vector(i))
-                   for i in range(self.dim)]
+        # L_{a_i} has entry (l, j) = c[i][j][l]
+        actions = [Matrix(self.field, self.dim, self.dim,
+                          [[table[j][l] for j in range(self.dim)]
+                           for l in range(self.dim)])
+                   for table in self.constants]
         return Module(self, self.dim, actions)
 
     def opposite(self):
@@ -114,23 +105,39 @@ class Algebra:
 
 
 def algebra_validate(A):
-    """None when the axioms hold, else a human-readable violation report."""
+    """None when the axioms hold, else a human-readable violation report.
+
+    Both checks are sums over the nonzero structure constants: u a_i and
+    a_i u against a_i for the unit u, then (a_i a_j) a_l = sum_m c_ij^m a_m a_l
+    against a_i (a_j a_l) = sum_m c_jl^m a_i a_m, in the order of (i, j, l).
+    """
     dim = A.dim
+    zero, one = A.field.zero(), A.field.one()
+    # rows[i][j]: the nonzero (m, c_ij^m); cols[l][m] = rows[m][l]
+    rows = [[[(m, v) for m, v in enumerate(vec) if v] for vec in row]
+            for row in A.constants]
+    cols = [[rows[m][l] for m in range(dim)] for l in range(dim)]
+
+    def combine(terms, vectors):
+        """sum of coeff * vectors[m] over the nonzero (m, coeff) terms"""
+        out = [zero] * dim
+        for m, coeff in terms:
+            for k, w in vectors[m]:
+                out[k] = out[k] + coeff * w
+        return out
+
+    unit = [(m, u) for m, u in enumerate(A.unit) if u]
     for i in range(dim):
-        ei = A.basis_vector(i)
-        left = A.mul_coords(A.unit, ei)
-        right = A.mul_coords(ei, A.unit)
-        if left != ei:
+        ei = [zero] * dim
+        ei[i] = one
+        if combine(unit, cols[i]) != ei:
             return f"unit fails on the left at basis element {i}"
-        if right != ei:
+        if combine(unit, rows[i]) != ei:
             return f"unit fails on the right at basis element {i}"
     for i in range(dim):
         for j in range(dim):
-            ij = A.constants[i][j]
             for l in range(dim):
-                lhs = A.mul_coords(ij, A.basis_vector(l))
-                rhs = A.mul_coords(A.basis_vector(i), A.constants[j][l])
-                if lhs != rhs:
+                if combine(rows[i][j], cols[l]) != combine(rows[j][l], rows[i]):
                     return f"associativity fails at triple ({i}, {j}, {l})"
     return None
 

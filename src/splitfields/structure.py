@@ -51,12 +51,36 @@ def radical(A, seed=0):
 
 
 def _radical_trace_form(A):
-    field = A.field
-    lmats = [A.left_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-    gram = Matrix(field, A.dim, A.dim,
-                  [[(lmats[i] @ lmats[j]).trace() for j in range(A.dim)]
-                   for i in range(A.dim)])
-    return row_space_basis(field, gram.kernel_basis())
+    """Rad A as the kernel of the trace form (x, y) -> tr(L_x L_y)."""
+    return row_space_basis(A.field, _trace_form(A).kernel_basis())
+
+
+def _trace_form(A):
+    """The Gram matrix tr(L_i L_j), read off the structure constants in O(d^3).
+
+    Associativity gives L_{a_i a_j} = L_{a_i} L_{a_j}, so
+    tr(L_i L_j) = sum_l c[i][j][l] tr(L_l), and tr(L_l) = sum_m c[l][m][m].
+    """
+    c = A.constants
+    zero = A.field.zero()
+    traces = []
+    for l in range(A.dim):
+        acc = zero
+        for m in range(A.dim):
+            if c[l][m][m]:
+                acc = acc + c[l][m][m]
+        traces.append(acc)
+    gram = []
+    for i in range(A.dim):
+        row = []
+        for j in range(A.dim):
+            acc = zero
+            for v, t in zip(c[i][j], traces):
+                if v and t:
+                    acc = acc + v * t
+            row.append(acc)
+        gram.append(row)
+    return Matrix(A.field, A.dim, A.dim, gram)
 
 
 def _radical_modular(A, seed):
@@ -111,8 +135,12 @@ def composition_factors(M, seed=0):
 
     Deterministic for a fixed seed; the factor multiset is seed-independent.
     """
+    # in characteristic 0 every node splits off (Rad A) first; Rad A is the
+    # same for every subquotient, so it is computed once here
+    rad = None if M.algebra.field.characteristic \
+        else _radical_trace_form(M.algebra)
     leaves = []
-    _split(M, seed, leaves)
+    _split(M, seed, rad, leaves)
     grouped = []
     for S in leaves:
         for entry in grouped:
@@ -132,16 +160,16 @@ def _same_simple(S, T, seed):
     return bool(res.isomorphic)
 
 
-def _split(M, seed, leaves):
+def _split(M, seed, rad, leaves):
     if M.dim == 0:
         return
-    sub = _find_proper_submodule(M, seed)
+    sub = _find_proper_submodule(M, seed, rad)
     if sub is None:
         leaves.append(M)
         return
     parts = sub_quotient(M, sub)
-    _split(parts.sub, seed, leaves)
-    _split(parts.quot, seed, leaves)
+    _split(parts.sub, seed, rad, leaves)
+    _split(parts.quot, seed, rad, leaves)
 
 
 def _proper(M, basis):
@@ -150,8 +178,10 @@ def _proper(M, basis):
     return None
 
 
-def _find_proper_submodule(M, seed):
+def _find_proper_submodule(M, seed, rad):
     """A basis of a proper nonzero submodule, or None when M is simple.
+
+    ``rad`` is the basis of Rad A in characteristic 0 and None otherwise.
 
     Raises Inconclusive when neither a submodule nor a simplicity certificate
     is found within the documented caps (possible over QQ only).
@@ -162,8 +192,7 @@ def _find_proper_submodule(M, seed):
 
     # characteristic 0: split off (Rad A) M first; what remains is semisimple
     semisimple_known = False
-    if not field.characteristic:
-        rad = _radical_trace_form(M.algebra)
+    if rad is not None:
         if rad:
             vecs = []
             for r in rad:

@@ -56,6 +56,14 @@ def test_matrix_units_multiply():
     assert all(not bool(c) for c in A.mul_coords(e01, e01))
 
 
+def test_regular_module_is_left_multiplication():
+    for A in bundled_algebras().values():
+        for i, L in enumerate(A.regular_module().actions):
+            ei = A.basis_vector(i)
+            for j in range(A.dim):
+                assert L.col(j) == A.mul_coords(ei, A.basis_vector(j))
+
+
 def test_group_algebra_rejects_non_group():
     # row 1 repeats an element: not a Latin square
     with pytest.raises(NotAGroup):

@@ -1,13 +1,20 @@
+import random
+
 import pytest
 
+from splitfields import structure
 from splitfields.algebras import (
+    Algebra,
+    algebra_validate,
     cyclic_group_algebra,
     diagonal_algebra,
     matrix_algebra,
     quaternion_algebra,
     upper_triangular_algebra,
 )
+from splitfields.corpus import bundled_algebras
 from splitfields.fields import prime_field, rationals
+from splitfields.linalg import Matrix
 from splitfields.structure import (
     composition_factors,
     is_semisimple,
@@ -107,3 +114,59 @@ def test_oracle_series_agrees_with_structure():
         M = A.regular_module()
         assert sorted(oracle_composition_series_dims(M)) == \
             sorted(S.dim for S, m in composition_factors(M) for _ in range(m))
+
+
+def _change_basis(A, P):
+    """A on the basis f_i = sum_a P[a][i] a_a."""
+    Pinv = P.inverse()
+    cols = [P.col(i) for i in range(A.dim)]
+    constants = [[Pinv.apply(A.mul_coords(cols[i], cols[j]))
+                  for j in range(A.dim)] for i in range(A.dim)]
+    return Algebra(A.field, A.dim, A.basis_labels, constants,
+                   Pinv.apply(A.unit))
+
+
+def _random_invertible(field, d, rng):
+    while True:
+        P = Matrix(field, d, d, [[field.from_base(rng.randint(-2, 2))
+                                  for _ in range(d)] for _ in range(d)])
+        if P.is_invertible():
+            return P
+
+
+def _char0_algebras():
+    """The bundled char-0 algebras, and those of dimension <= 4 under two
+    seeded dense changes of basis (the products of L_i stay cheap)."""
+    out = []
+    for name, A in bundled_algebras().items():
+        if A.field.characteristic:
+            continue
+        out.append((name, A))
+        for seed in (1, 2) if A.dim <= 4 else ():
+            P = _random_invertible(A.field, A.dim, random.Random(seed))
+            out.append((f"{name}/basis{seed}", _change_basis(A, P)))
+    return out
+
+
+@pytest.mark.parametrize("name, A", _char0_algebras(),
+                         ids=[name for name, _ in _char0_algebras()])
+def test_trace_form_equals_traces_of_products(name, A):
+    assert algebra_validate(A) is None
+    L = A.regular_module().actions
+    gram = [[(L[i] @ L[j]).trace() for j in range(A.dim)] for i in range(A.dim)]
+    assert structure._trace_form(A).entries == tuple(map(tuple, gram))
+
+
+@pytest.mark.parametrize("A", [matrix_algebra(3, Q), cyclic_group_algebra(6, Q)],
+                         ids=["M_3(QQ)", "QQ[C_6]"])
+def test_simple_modules_computes_the_radical_once(A, monkeypatch):
+    calls = []
+    original = structure._radical_trace_form
+
+    def counted(B):
+        calls.append(B)
+        return original(B)
+
+    monkeypatch.setattr(structure, "_radical_trace_form", counted)
+    simple_modules(A)
+    assert calls == [A]
