@@ -123,7 +123,7 @@ def _rational_poly_irreducible(coeffs):
 # descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDescriptor:
     """An exact field: QQ, QQ[x]/(f), GF(p) or GF(p)[x]/(g).
 
@@ -135,6 +135,19 @@ class FieldDescriptor:
     characteristic: int
     modulus: tuple | None
     degree: int
+
+    # every matrix entry and field operation compares descriptors, and almost
+    # always against the very same object
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.characteristic, self.modulus, self.degree) == \
+            (other.kind, other.characteristic, other.modulus, other.degree)
+
+    def __hash__(self):
+        return hash((self.kind, self.characteristic, self.modulus, self.degree))
 
     # -- constructors for elements --------------------------------------
 
