@@ -10,6 +10,7 @@ and the parser rejects unknown keys.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -26,6 +27,9 @@ from .linalg import Matrix
 from .modules import Module, module_validate
 
 FORMAT_VERSION = "1"
+
+# the form _scalar_out writes; Fraction alone would also take " 1/2 ", "1e-3"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _KINDS = ("field", "algebra", "module", "report")
 
@@ -83,9 +87,11 @@ def _scalar_in(v, characteristic, where):
         return v
     if not isinstance(v, str):
         raise InputError(f"{where}: rational scalars must be exact strings")
+    if not _RATIONAL.fullmatch(v):
+        raise InputError(f"{where}: cannot parse rational {v!r}")
     try:
         return Fraction(v)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise InputError(f"{where}: cannot parse rational {v!r}") from None
 
 
@@ -122,7 +128,7 @@ def field_in(doc):
     payload = doc["payload"]
     _check_keys(payload, ("kind", "characteristic", "modulus"), "field payload")
     p = payload["characteristic"]
-    if not isinstance(p, int) or p < 0:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
         raise InputError("characteristic must be a non-negative integer")
     mod = payload["modulus"]
     try:
@@ -199,7 +205,7 @@ def module_in(doc, validate=True):
     _check_keys(payload, ("algebra", "dim", "actions"), "module payload")
     A = algebra_in(document("algebra", payload["algebra"]), validate=validate)
     dim = payload["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise InputError("module dim must be a non-negative integer")
     actions = payload["actions"]
     if not isinstance(actions, list) or len(actions) != A.dim:

@@ -9,7 +9,15 @@ from splitfields.basechange import extend_algebra
 from splitfields.cli import main
 from splitfields.corpus import bundled_algebras
 from splitfields.errors import BadParams
-from splitfields.fields import embed_find, finite_field_of_degree, prime_field
+from splitfields.fields import (
+    embed_find,
+    finite_field_of_degree,
+    number_field,
+    prime_field,
+    rationals,
+)
+from splitfields.linalg import Matrix
+from splitfields.modules import Module
 from splitfields.structure import composition_factors
 
 DATA = "src/splitfields/data"
@@ -129,6 +137,39 @@ def test_json_boolean_scalar_exits_2(tmp_path):
     path = tmp_path / "bool.json"
     path.write_text(docs.dumps(doc))
     assert main(["validate", str(path)]) == 2
+
+
+def test_json_boolean_characteristic_exits_2(tmp_path):
+    doc = docs.field_out(rationals())
+    doc["payload"]["characteristic"] = False  # was 0
+    path = tmp_path / "bool.json"
+    path.write_text(docs.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+
+
+def test_json_boolean_module_dim_exits_2(tmp_path):
+    Q = rationals()
+    A = cyclic_group_algebra(2, Q)
+    trivial = Module(A, 1, [Matrix.identity(Q, 1)] * 2)
+    doc = docs.module_out(trivial)
+    path = tmp_path / "trivial.json"
+    path.write_text(docs.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    doc["payload"]["dim"] = True  # was 1
+    path.write_text(docs.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("scalar, valid", [
+    ("1/2", True), ("1/1000", True),
+    (" 1/2 ", False), ("1e-3", False), ("0.5", False)])
+def test_only_canonical_rationals_parse(tmp_path, scalar, valid):
+    # x^2 + c is irreducible over QQ for every c > 0
+    doc = docs.field_out(number_field([1, 0, 1]))
+    doc["payload"]["modulus"][0] = scalar
+    path = tmp_path / "field.json"
+    path.write_text(docs.dumps(doc))
+    assert main(["validate", str(path)]) == (0 if valid else 2)
 
 
 def test_large_prime_field(tmp_path):
