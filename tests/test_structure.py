@@ -141,16 +141,15 @@ def _char0_algebras():
     for name, A in bundled_algebras().items():
         if A.field.characteristic:
             continue
-        out.append((name, A))
+        out.append(pytest.param(A, id=name))
         for seed in (1, 2) if A.dim <= 4 else ():
             P = _random_invertible(A.field, A.dim, random.Random(seed))
-            out.append((f"{name}/basis{seed}", _change_basis(A, P)))
+            out.append(pytest.param(_change_basis(A, P), id=f"{name}/basis{seed}"))
     return out
 
 
-@pytest.mark.parametrize("name, A", _char0_algebras(),
-                         ids=[name for name, _ in _char0_algebras()])
-def test_trace_form_equals_traces_of_products(name, A):
+@pytest.mark.parametrize("A", _char0_algebras())
+def test_trace_form_equals_traces_of_products(A):
     assert algebra_validate(A) is None
     L = A.regular_module().actions
     gram = [[(L[i] @ L[j]).trace() for j in range(A.dim)] for i in range(A.dim)]
