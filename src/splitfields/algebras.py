@@ -21,7 +21,8 @@ from .linalg import Echelon, Matrix
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "basis_labels", "constants", "unit", "_key")
+    __slots__ = ("field", "dim", "basis_labels", "constants", "unit", "_key",
+                 "_gens")
 
     def __init__(self, field, dim, basis_labels, constants, unit):
         if dim < 1:
@@ -42,6 +43,7 @@ class Algebra:
                     if e.field != field:
                         raise FieldMismatch("structure constant outside the field")
         self._key = None
+        self._gens = None
 
     # -- multiplication ----------------------------------------------------
 
@@ -78,6 +80,35 @@ class Algebra:
                          tuple(e.coords for e in self.unit))
         return self._key
 
+    def _generators(self):
+        """Basis indices that generate the algebra as a unital algebra.
+
+        Walks the indices in order and keeps ``i`` unless ``a_i`` already lies
+        in the unital subalgebra generated by the indices kept before it.
+        That subalgebra is the span of the words in the kept generators,
+        grown from the unit by left multiplication.  Computed once; the
+        choice depends on the structure constants only.
+        """
+        if self._gens is None:
+            words = [self.unit]   # spanning words of the subalgebra so far
+            span = Echelon(self.field, words)
+            gens = []
+            for i in range(self.dim):
+                if len(span) == self.dim:
+                    break
+                if span.contains(self.basis_vector(i)):
+                    continue
+                gens.append(i)
+                todo = [(i, w) for w in words]
+                while todo:
+                    g, w = todo.pop()
+                    prod_ = self.mul_coords(self.basis_vector(g), w)
+                    if span.insert(prod_):
+                        words.append(prod_)
+                        todo.extend((h, prod_) for h in gens)
+            self._gens = tuple(gens)
+        return self._gens
+
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.key() == other.key()
 
@@ -100,8 +131,11 @@ class Algebra:
     def opposite(self):
         constants = [[self.constants[j][i] for j in range(self.dim)]
                      for i in range(self.dim)]
-        return Algebra(self.field, self.dim, self.basis_labels, constants,
-                       self.unit)
+        opp = Algebra(self.field, self.dim, self.basis_labels, constants,
+                      self.unit)
+        # reversing words maps each generated subalgebra onto itself
+        opp._gens = self._generators()
+        return opp
 
 
 def algebra_validate(A):

@@ -180,17 +180,7 @@ class Matrix:
 
     def kernel_basis(self):
         """Canonical basis of the right null space, as coordinate tuples."""
-        red, rank, pivots = self.rref()
-        zero, one = self.field.zero(), self.field.one()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [zero] * self.cols
-            v[j] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.entries[i][j]
-            basis.append(tuple(v))
-        return basis
+        return Echelon(self.field, self.entries).kernel(self.cols)
 
     def solve(self, b):
         """One particular solution of ``self @ x = b`` or None."""
@@ -312,6 +302,23 @@ class Echelon:
 
     def basis(self):
         return list(self.rows)
+
+    def kernel(self, cols):
+        """Canonical basis of the right null space of the rows (vectors of
+        length ``cols``): one vector per free column j, with 1 at j and 0 at
+        the other free columns."""
+        zero, one = self.field.zero(), self.field.one()
+        pivots = set(self.pivots)
+        basis = []
+        for j in range(cols):
+            if j in pivots:
+                continue
+            v = [zero] * cols
+            v[j] = one
+            for row, pc in zip(self.rows, self.pivots):
+                v[pc] = -row[j]
+            basis.append(tuple(v))
+        return basis
 
 
 def linear_combination(coeffs, mats):

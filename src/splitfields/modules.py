@@ -2,8 +2,18 @@
 
 A module of dimension m is one m x m action matrix per algebra basis element.
 The module axioms (representation relation and unit acting as identity) are
-checkable exactly.  Hom spaces are computed as kernels of the stacked
-intertwining equations, so their bases are canonical and reproducible.
+checkable exactly.
+
+Submodules and hom spaces use only the actions of a generating set of the
+algebra (``Algebra._generators``), as the MeatAxe does with modules given by
+generator matrices.  This needs the module axioms: under a unital
+representation the image of A is the unital algebra generated by the images
+of the generators, so closing a subspace under them, or intertwining them,
+closes under or intertwines all of A.  Documents validate the axioms, and
+every module built from them by this library satisfies them.  ``spin``
+returns the canonical (RREF) basis of the submodule and ``hom_space`` the
+canonical free-variable kernel basis of the intertwining equations, so both
+depend on the modules only, never on the generators chosen.
 """
 
 from __future__ import annotations
@@ -73,12 +83,18 @@ def zero_module(A):
 # ---------------------------------------------------------------------------
 
 def spin(M, seed_vectors):
-    """Canonical basis of the submodule generated by the seed vectors."""
+    """Canonical basis of the submodule generated by the seed vectors.
+
+    The span of the seeds is closed under the actions of the algebra's
+    generators only; M must satisfy the module axioms (see the module
+    docstring).  The basis is the RREF basis of the submodule.
+    """
     span = Echelon(M.algebra.field)
+    gens = [M.actions[g] for g in M.algebra._generators()]
     frontier = [v for v in seed_vectors if span.insert(v)]
     while frontier and len(span) < M.dim:
         v = frontier.pop()
-        for act in M.actions:
+        for act in gens:
             w = act.apply(v)
             if span.insert(w):
                 frontier.append(w)
@@ -151,7 +167,14 @@ class HomBasis(NamedTuple):
 
 
 def hom_space(M, N):
-    """Canonical basis of the intertwiner space Hom(M, N)."""
+    """Canonical basis of the intertwiner space Hom(M, N).
+
+    The unknowns are the entries of f, row-major.  Only the equations
+    f @ am = an @ f for the actions of the algebra's generators are solved;
+    M and N must satisfy the module axioms (see the module docstring).  The
+    equations span the annihilator of Hom(M, N) whichever generators are
+    used, so their RREF and its free-variable kernel basis are canonical.
+    """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("modules over different algebras")
     field = M.algebra.field
@@ -159,22 +182,26 @@ def hom_space(M, N):
     if nm == 0 or nn == 0:
         return HomBasis(M, N, ())
     unknowns = nn * nm  # f[r][c], row-major
-    rows = []
-    for am, an in zip(M.actions, N.actions):
-        # (f @ am - an @ f)[r][c] = 0
+    zero = field.zero()
+    span = Echelon(field)
+    for g in M.algebra._generators():
+        am_cols = M.actions[g].transpose().entries
+        an = N.actions[g].entries
+        neg_an = [[-e for e in row] for row in an]
+        # (f @ am - an @ f)[r][c] = sum_k f[r][k] am[k][c] - sum_k an[r][k] f[k][c]
         for r in range(nn):
             for c in range(nm):
-                row = [field.zero()] * unknowns
-                for k in range(nm):
-                    row[r * nm + k] = row[r * nm + k] + am.entries[k][c]
+                row = [zero] * unknowns
+                row[r * nm:(r + 1) * nm] = am_cols[c]
                 for k in range(nn):
-                    row[k * nm + c] = row[k * nm + c] - an.entries[r][k]
-                rows.append(row)
-    system = Matrix(field, len(rows), unknowns, rows)
-    mats = []
-    for v in system.kernel_basis():
-        mats.append(Matrix(field, nn, nm,
-                           [[v[r * nm + c] for c in range(nm)] for r in range(nn)]))
+                    row[k * nm + c] = neg_an[r][k]
+                # f[r][c] is the one unknown in both sums
+                row[r * nm + c] = am_cols[c][c] - an[r][r]
+                span.insert(row)
+        if len(span) == unknowns:
+            break
+    mats = [Matrix(field, nn, nm, [v[r * nm:(r + 1) * nm] for r in range(nn)])
+            for v in span.kernel(unknowns)]
     return HomBasis(M, N, tuple(mats))
 
 
@@ -190,19 +217,18 @@ def end_algebra(M):
     hb = hom_space(M, M)
     field = M.algebra.field
     d = len(hb.mats)
-    cols = [m.vec() for m in hb.mats]
-    coord_mat = Matrix(field, M.dim * M.dim, d,
-                       [[cols[j][i] for j in range(d)]
-                        for i in range(M.dim * M.dim)])
-    constants = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod_ = hb.mats[i] @ hb.mats[j]
-            sol = coord_mat.solve(list(prod_.vec()))
-            row.append(list(sol))
-        constants.append(row)
-    unit = list(coord_mat.solve(list(Matrix.identity(field, M.dim).vec())))
+    zero, minus_one = field.zero(), -field.one()
+    # vec(f_j) tagged with -e_j: an endomorphism x reduces to (0 | its coordinates)
+    span = Echelon(field, [m.vec() + tuple(minus_one if k == j else zero
+                                           for k in range(d))
+                           for j, m in enumerate(hb.mats)])
+    width = M.dim * M.dim
+
+    def coords(x):
+        return span.reduce(x.vec() + (zero,) * d)[width:]
+
+    constants = [[coords(a @ b) for b in hb.mats] for a in hb.mats]
+    unit = coords(Matrix.identity(field, M.dim))
     labels = [f"f{i}" for i in range(d)]
     return Algebra(field, d, labels, constants, unit), hb
 
