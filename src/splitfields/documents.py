@@ -3,14 +3,15 @@
 Every scalar is exact: rational coordinates are strings like "3/4" and
 characteristic-p coordinates are plain integers.  An element of a degree-1
 field is a bare scalar; an element of an extension is the little-endian list
-of its coordinates over the prime base.  Serialization is round-trip stable
-and the parser rejects unknown keys.
+of its coordinates over the prime base.  Serialization is round-trip stable:
+the parser takes a rational string only in the form the writer produces
+(lowest terms, no sign on zero, no leading zeros), and it rejects unknown
+keys.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -27,9 +28,6 @@ from .linalg import Matrix
 from .modules import Module, module_validate
 
 FORMAT_VERSION = "1"
-
-# the form _scalar_out writes; Fraction alone would also take " 1/2 ", "1e-3"
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _KINDS = ("field", "algebra", "module", "report")
 
@@ -87,12 +85,16 @@ def _scalar_in(v, characteristic, where):
         return v
     if not isinstance(v, str):
         raise InputError(f"{where}: rational scalars must be exact strings")
-    if not _RATIONAL.fullmatch(v):
-        raise InputError(f"{where}: cannot parse rational {v!r}")
     try:
-        return Fraction(v)
-    except ZeroDivisionError:
+        c = Fraction(v)
+    except (ValueError, ZeroDivisionError):
         raise InputError(f"{where}: cannot parse rational {v!r}") from None
+    # only the form _scalar_out writes, so that documents round-trip byte for
+    # byte; Fraction alone also takes " 1/2 ", "1e-3", "2/4", "-0" and "007"
+    if _scalar_out(c, 0) != v:
+        raise InputError(f"{where}: rational {v!r} is not in the canonical form "
+                         f"{_scalar_out(c, 0)!r}")
+    return c
 
 
 def element_out(a):

@@ -172,6 +172,18 @@ def test_only_canonical_rationals_parse(tmp_path, scalar, valid):
     assert main(["validate", str(path)]) == (0 if valid else 2)
 
 
+@pytest.mark.parametrize("canonical, other", [
+    ("1/2", "2/4"), ("0", "-0"), ("7", "007"), ("-1/3", "-2/6"), ("5", "5/1")])
+def test_non_canonical_rationals_exit_2(tmp_path, canonical, other):
+    # x^2 + c x + 1 is irreducible over QQ for each c here (c^2 - 4 is no square)
+    doc = docs.field_out(number_field([1, 0, 1]))
+    path = tmp_path / "field.json"
+    for scalar, code in ((canonical, 0), (other, 2)):
+        doc["payload"]["modulus"][1] = scalar
+        path.write_text(docs.dumps(doc))
+        assert main(["validate", str(path)]) == code
+
+
 def test_large_prime_field(tmp_path):
     prime_field(3)  # imports sympy before the clock starts
     t0 = time.perf_counter()
