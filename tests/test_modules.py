@@ -30,6 +30,7 @@ from splitfields.modules import (
     spin,
     sub_quotient,
 )
+from test_structure import _change_basis  # A on a new basis
 
 Q = rationals()
 F2 = prime_field(2)
@@ -192,15 +193,6 @@ def _random_invertible(field, d, rng):
                                  for _ in range(d)])
         if P.is_invertible():
             return P
-
-
-def _change_basis(A, P):
-    """A on the basis f_i = sum_a P[a][i] a_a."""
-    Pinv = P.inverse()
-    cols = [P.col(i) for i in range(A.dim)]
-    constants = [[Pinv.apply(A.mul_coords(cols[i], cols[j]))
-                  for j in range(A.dim)] for i in range(A.dim)]
-    return Algebra(A.field, A.dim, A.basis_labels, constants, Pinv.apply(A.unit))
 
 
 def _base_algebras(field):
