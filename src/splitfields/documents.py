@@ -12,6 +12,7 @@ keys.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -28,6 +29,11 @@ from .linalg import Matrix
 from .modules import Module, module_validate
 
 FORMAT_VERSION = "1"
+
+# digits, an optional sign and an optional denominator, checked before Fraction
+# sees the string: Fraction also takes " 1/2 " and "1e-3", and it evaluates an
+# exponent eagerly, so "1e999999999" would cost minutes and hundreds of MB
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _KINDS = ("field", "algebra", "module", "report")
 
@@ -85,12 +91,14 @@ def _scalar_in(v, characteristic, where):
         return v
     if not isinstance(v, str):
         raise InputError(f"{where}: rational scalars must be exact strings")
+    if not _RATIONAL.fullmatch(v):
+        raise InputError(f"{where}: cannot parse rational {v!r}")
     try:
         c = Fraction(v)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{where}: cannot parse rational {v!r}") from None
     # only the form _scalar_out writes, so that documents round-trip byte for
-    # byte; Fraction alone also takes " 1/2 ", "1e-3", "2/4", "-0" and "007"
+    # byte; the pattern alone still takes "2/4", "-0" and "007"
     if _scalar_out(c, 0) != v:
         raise InputError(f"{where}: rational {v!r} is not in the canonical form "
                          f"{_scalar_out(c, 0)!r}")

@@ -162,7 +162,9 @@ def test_json_boolean_module_dim_exits_2(tmp_path):
 
 @pytest.mark.parametrize("scalar, valid", [
     ("1/2", True), ("1/1000", True),
-    (" 1/2 ", False), ("1e-3", False), ("0.5", False)])
+    (" 1/2 ", False), ("1e-3", False), ("0.5", False),
+    # Fraction would expand these exponents before any other check
+    ("1e5000", False), ("1e999999999", False)])
 def test_only_canonical_rationals_parse(tmp_path, scalar, valid):
     # x^2 + c is irreducible over QQ for every c > 0
     doc = docs.field_out(number_field([1, 0, 1]))
