@@ -53,9 +53,6 @@ def extend_algebra(A, emb):
                  for row in A.constants]
     unit = [emb.apply(e) for e in A.unit]
     extended = Algebra(emb.target, A.dim, A.basis_labels, constants, unit)
-    # the words in the generators keep their linear dependences over a
-    # larger field, so the same indices generate the extended algebra
-    extended._gens = A._generators()
     report = algebra_validate(extended)
     if report is not None:  # pragma: no cover - embeddings are homomorphisms
         raise InternalInvariantError(f"extension broke the axioms: {report}")

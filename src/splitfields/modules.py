@@ -26,6 +26,14 @@ from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 
 
 class Module:
+    """A left module: one dim x dim action matrix per algebra basis element.
+
+    The constructor checks shapes and fields only.  ``spin``, ``hom_space``
+    and everything built on them (``is_isomorphic``, ``end_algebra``,
+    ``sub_quotient``) assume the module axioms; check a module built by hand
+    with ``module_validate`` before using them.
+    """
+
     __slots__ = ("algebra", "dim", "actions")
 
     def __init__(self, algebra, dim, actions):
