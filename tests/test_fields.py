@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitfields.errors import BadParams, NoEmbedding
 from splitfields.fields import (
@@ -159,3 +160,33 @@ def test_adjoin_root_over_number_field():
     assert root * root == E.from_base(2)
     i = emb.apply(Qi.generator())
     assert i * i == -E.one()
+
+
+# -- property test of the inverse (fixed examples, no random seed) ----------
+
+INVERSE_FIELDS = (prime_field(2), prime_field(7), finite_field_of_degree(2, 2),
+                  finite_field_of_degree(2, 3), finite_field_of_degree(3, 2),
+                  finite_field_of_degree(5, 3), rationals(),
+                  number_field([1, 0, 1]), number_field([1, 1, 1]),
+                  number_field([-2, 0, 0, 1]), number_field([-2, 0, 0, 0, 1]))
+
+
+@st.composite
+def nonzero_elements(draw):
+    F = draw(st.sampled_from(INVERSE_FIELDS))
+    if F.characteristic:
+        coord = st.integers(0, F.characteristic - 1)
+    else:
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    a = F.element([draw(coord) for _ in range(F.degree)])
+    if not a:
+        a = F.one()
+    return a
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(nonzero_elements())
+def test_inverse_is_a_two_sided_inverse(a):
+    inv = a.inverse()
+    assert a * inv == a.field.one()
+    assert inv * a == a.field.one()
