@@ -26,10 +26,9 @@ from .fields import (
     FieldEmbedding,
     adjoin_root,
     compose_embeddings,
-    embed_find,
+    embedding_preimage,
     identity_embedding,
 )
-from .errors import NoEmbedding
 from .linalg import Echelon, Matrix, row_space_basis
 from .modules import hom_space, is_isomorphic
 from .structure import composition_factors, radical, simple_modules
@@ -208,17 +207,15 @@ def verify_chain_theorem(A, emb_mid, emb_top, seed=0):
 def _descends_into(ctx_top, V, emb_mid, emb_top):
     """(writable in E or None for unknown, decisive flag) for a simple V over A^F."""
     descent = descend_module(ctx_top, V)
-    E_S = descent.subfield
-    E = emb_mid.target
-    try:
-        embed_find(E_S, E)
+    # E_S lies inside E as subfields of F when its generator's image has a
+    # preimage under E -> F; an abstract embedding E_S -> E is not enough
+    if embedding_preimage(emb_top, descent.emb_up.generator_image) is not None:
         return True, True
-    except NoEmbedding:
-        # the entry field does not fit inside E; decisive on finite fields
-        # and for 1-dimensional modules (a scalar action is basis-independent)
-        if ctx_top.emb.target.characteristic or V.dim == 1:
-            return False, True
-        return None, False
+    # the entry field does not lie inside E; decisive on finite fields
+    # and for 1-dimensional modules (a scalar action is basis-independent)
+    if ctx_top.emb.target.characteristic or V.dim == 1:
+        return False, True
+    return None, False
 
 
 def verify_split_radical(A, emb, seed=0):

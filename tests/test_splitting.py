@@ -8,9 +8,12 @@ from splitfields.algebras import (
     quaternion_algebra,
     upper_triangular_algebra,
 )
+from splitfields.basechange import extend_algebra
 from splitfields.errors import DegreeCapExceeded, NotSimple, PreconditionFailed
 from splitfields.fields import (
     FieldEmbedding,
+    adjoin_root,
+    compose_embeddings,
     embed_find,
     finite_field_of_degree,
     identity_embedding,
@@ -19,7 +22,10 @@ from splitfields.fields import (
     prime_field,
     rationals,
 )
+from splitfields.linalg import Matrix
+from splitfields.modules import Module
 from splitfields.splitting import (
+    _descends_into,
     find_splitting_field,
     is_absolutely_simple,
     is_split,
@@ -136,3 +142,24 @@ def test_chain_negative_mid():
                                identity_embedding(Q), emb)
     assert rep.decisive and rep.agree
     assert rep.side_mid is False and rep.side_top is False
+
+
+def test_descent_must_land_inside_the_middle_field():
+    # QQ < E = QQ(cbrt2) < F = E(omega): QQ(omega cbrt2) is isomorphic to E
+    # but is a different subfield of F, so a module written over it is not
+    # written in E
+    E = number_field([-2, 0, 0, 1])
+    x2_x_1 = [E.one(), E.one(), E.one()]
+    F, emb_top, omega = adjoin_root(E, x2_x_1)
+    emb_mid = embed_find(Q, E)
+    A = field_algebra(E)
+    ctx = extend_algebra(A, compose_embeddings(emb_mid, emb_top))
+    cbrt2 = emb_top.apply(E.generator())
+
+    def module(t):
+        return Module(ctx.extended, 1, [Matrix(F, 1, 1, [[t ** i]])
+                                        for i in range(A.dim)])
+
+    assert _descends_into(ctx, module(omega * cbrt2), emb_mid, emb_top) == \
+        (False, True)
+    assert _descends_into(ctx, module(cbrt2), emb_mid, emb_top) == (True, True)
