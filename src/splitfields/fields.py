@@ -6,6 +6,12 @@ form over its prime base; elements are coefficient vectors over that base
 (``fractions.Fraction`` in characteristic 0, reduced integers otherwise).
 Embeddings between fields are explicit and recorded by the image of the
 source generator.
+
+A modulus is irreducible when ``polys.is_irreducible`` says so over the prime
+base (trial division under the ``polys`` cap in characteristic p, sympy in
+characteristic 0).  The inverse in GF(q) is a^(q-2); in a number field it is
+read off ``linalg.coordinates``, as are preimages under embeddings and the
+powers of a primitive element when a root is adjoined.
 """
 
 from __future__ import annotations
@@ -28,95 +34,17 @@ PRIME_FIELD = "prime_field"
 FINITE_FIELD = "finite_field"
 
 
-# ---------------------------------------------------------------------------
-# base-scalar polynomial helpers (little-endian coefficient lists)
-# ---------------------------------------------------------------------------
-
 def _is_prime(n):
     from sympy import isprime
 
     return isprime(n)
 
 
-def _bp_trim(c):
-    while c and not c[-1]:
-        c.pop()
-    return c
+def _is_irreducible(coeffs, base):
+    """Irreducibility of a polynomial over the prime base, through ``polys``."""
+    from . import polys
 
-
-def _bp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    if p:
-        out = [c % p for c in out]
-    return _bp_trim(out)
-
-
-def _bp_sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    if p:
-        out = [c % p for c in out]
-    return _bp_trim(out)
-
-
-def _bp_divmod(a, b, p):
-    """Polynomial division; the divisor's leading coefficient must be invertible."""
-    a = _bp_trim(list(a))
-    b = _bp_trim(list(b))
-    q = [0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    inv = pow(lead, -1, p) if p else Fraction(1) / lead
-    while a and len(a) >= len(b):
-        if not a[-1]:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        if p:
-            c %= p
-        q[k] = c
-        for j, y in enumerate(b):
-            a[k + j] -= c * y
-            if p:
-                a[k + j] %= p
-        a.pop()
-    return _bp_trim(q), _bp_trim(a)
-
-
-def _bp_irreducible_mod_p(coeffs, p):
-    """Brute-force irreducibility over GF(p): trial division up to half degree."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            g = list(tail) + [1]
-            _, r = _bp_divmod(list(coeffs), g, p)
-            if not r:
-                return False
-    return True
-
-
-def _rational_poly_irreducible(coeffs):
-    """Irreducibility over QQ via exact factorization (sympy)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(coeffs))
-    factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))[1]
-    return len(factors) == 1 and factors[0][1] == 1 and \
-        factors[0][0].degree() == len(coeffs) - 1
+    return polys.is_irreducible([base.from_base(c) for c in coeffs], base)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +163,7 @@ def number_field(modulus):
         raise BadParams("number field modulus must have degree >= 2")
     if coeffs[-1] != 1:
         raise BadParams("modulus must be monic")
-    if not _rational_poly_irreducible(coeffs):
+    if not _is_irreducible(coeffs, rationals()):
         raise BadParams("modulus is reducible over QQ")
     return FieldDescriptor(NUMBER_FIELD, 0, tuple(coeffs), len(coeffs) - 1)
 
@@ -249,19 +177,20 @@ def finite_field(p, modulus):
         raise BadParams("finite field modulus must have degree >= 2")
     if coeffs[-1] != 1:
         raise BadParams("modulus must be monic")
-    if not _bp_irreducible_mod_p(coeffs, p):
+    if not _is_irreducible(coeffs, prime_field(p)):
         raise BadParams("modulus is reducible over the prime field")
     return FieldDescriptor(FINITE_FIELD, p, tuple(coeffs), len(coeffs) - 1)
 
 
 def finite_field_of_degree(p, m):
     """The canonical GF(p^m): lexicographically least monic irreducible modulus."""
+    base = prime_field(p)
     if m == 1:
-        return prime_field(p)
+        return base
     for tail in product(range(p), repeat=m):
         coeffs = list(tail) + [1]
-        if _bp_irreducible_mod_p(coeffs, p):
-            return finite_field(p, coeffs)
+        if _is_irreducible(coeffs, base):
+            return FieldDescriptor(FINITE_FIELD, p, tuple(coeffs), m)
     raise BadParams("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -354,6 +283,10 @@ class FieldElement:
         return FieldElement(f, tuple(out[:d]))
 
     def inverse(self):
+        """a^(q-2) in GF(q); over a number field, the coordinates of 1 in
+        a, a*x, ..., a*x^(d-1) are those of 1/a in 1, x, ..., x^(d-1)."""
+        from .linalg import coordinates
+
         f = self.field
         p = f.characteristic
         if not self:
@@ -361,18 +294,11 @@ class FieldElement:
         if f.degree == 1:
             c = self.coords[0]
             return FieldElement(f, ((pow(c, -1, p) if p else Fraction(1) / c),))
-        # extended Euclid against the modulus over the prime base
-        r0, r1 = list(f.modulus), _bp_trim(list(self.coords))
-        t0, t1 = [], [1 if p else Fraction(1)]
-        while r1:
-            q, r = _bp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _bp_sub(t0, _bp_mul(q, t1, p), p)
-        # r0 is a nonzero constant gcd
-        c = r0[0]
-        inv = pow(c, -1, p) if p else Fraction(1) / c
-        coeffs = [(x * inv) % p if p else x * inv for x in t0]
-        return f.element(coeffs)
+        if p:
+            return self ** (f.order - 2)
+        base = _prime_base(f)
+        one = coordinates(base, _multiplication_rows(self))(_base_coords(f.one(), base))
+        return f.element([c.coords[0] for c in one])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -503,19 +429,16 @@ def embed_find(E, F):
 
 def embedding_preimage(emb, elem):
     """The unique preimage of ``elem`` under ``emb``, or None if not in the image."""
-    from .linalg import Matrix
+    from .linalg import coordinates
 
     if elem.field != emb.target:
         raise FieldMismatch("element does not belong to the embedding target")
     base = _prime_base(emb.target)
-    cols = [_base_coords(g, base) for g in emb._powers()]
-    mat = Matrix(base, emb.target.degree, emb.source.degree,
-                 [[cols[j][i] for j in range(emb.source.degree)]
-                  for i in range(emb.target.degree)])
-    sol = mat.solve(_base_coords(elem, base))
-    if sol is None:
+    in_powers = coordinates(base, [_base_coords(g, base) for g in emb._powers()])
+    coeffs = in_powers(_base_coords(elem, base))
+    if coeffs is None:
         return None
-    return emb.source.element([c.coords[0] for c in sol])
+    return emb.source.element([c.coords[0] for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +468,7 @@ def element_min_poly(a):
     """Monic minimal polynomial of ``a`` over the prime base, as base scalars."""
     from .linalg import Matrix
 
-    F = a.field
-    base = _prime_base(F)
-    # row j holds a * x^j: the matrix of multiplication by a on row vectors
-    mult = Matrix.from_rows(base, [_base_coords(a * F.element([0] * j + [1]), base)
-                                   for j in range(F.degree)])
+    mult = Matrix.from_rows(_prime_base(a.field), _multiplication_rows(a))
     return [c.coords[0] for c in mult.min_poly()]
 
 
@@ -563,6 +482,14 @@ def _prime_base(F):
 
 def _base_coords(elem, base):
     return [base.from_base(c) for c in elem.coords]
+
+
+def _multiplication_rows(a):
+    """Row j holds a * x^j: the matrix of multiplication by a on row vectors."""
+    F = a.field
+    base = _prime_base(F)
+    return [_base_coords(a * F.element([0] * j + [1]), base)
+            for j in range(F.degree)]
 
 
 def _closure_span(F, gens):
@@ -664,60 +591,43 @@ def adjoin_root(E, g):
     return _adjoin_root_number_field(E, g)
 
 
-class _QuotientRing:
-    """E[x]/(g) as an exact QQ-algebra; elements are coefficient lists over E."""
-
-    def __init__(self, E, g):
-        from . import polys
-
-        self.E = E
-        self.g = g
-        self.polys = polys
-        self.deg = polys.degree(g)
-        self.dim = E.degree * self.deg
-
-    def coords(self, elem):
-        out = []
-        for j in range(self.deg):
-            c = elem[j] if j < len(elem) else self.E.zero()
-            out.extend(c.coords)
-        return out
-
-    def mul(self, a, b):
-        prod_ = self.polys.mul(a, b, self.E)
-        _, r = self.polys.poly_divmod(prod_, self.g, self.E)
-        return r
-
-
 def _adjoin_root_number_field(E, g):
-    from .linalg import Matrix
+    """E(xbar) for a root xbar of g, as QQ(gamma) with gamma = xbar + c * alpha.
 
-    ring = _QuotientRing(E, g)
+    gamma is primitive when the minimal polynomial of multiplication by gamma
+    on E[x]/(g) has full degree [E:QQ] * deg g; that polynomial is the modulus.
+    """
+    from . import polys
+    from .linalg import Matrix, coordinates
+
     QQ = rationals()
+    n = polys.degree(g)
+
+    def mul(a, b):
+        return polys.poly_divmod(polys.mul(a, b, E), g, E)[1]
+
+    def coords(a):
+        """Coordinates over QQ in the basis alpha^i xbar^j, j major."""
+        a = list(a) + [E.zero()] * (n - len(a))
+        return [QQ.from_base(v) for c in a for v in c.coords]
+
+    units = [[E.zero()] * j + [E.element([0] * i + [1])]
+             for j in range(n) for i in range(E.degree)]
     alpha = [E.generator()]          # generator of E as a constant polynomial
     xbar = [E.zero(), E.one()]       # the adjoined root
     for c in _multipliers():
-        gamma = ring.polys.add(xbar, [_scalar_mul(Fraction(c), E.generator())], E)
-        pows = [[E.one()]]
-        rows = [ring.coords(pows[0])]
-        for _ in range(ring.dim):
-            pows.append(ring.mul(pows[-1], gamma))
-            rows.append(ring.coords(pows[-1]))
-        qrows = [[QQ.from_base(v) for v in row] for row in rows]
-        mat = Matrix(QQ, ring.dim, ring.dim,
-                     [[qrows[j][i] for j in range(ring.dim)]
-                      for i in range(ring.dim)])
-        _, rank, _ = mat.rref()
-        if rank < ring.dim:
+        gamma = polys.add(xbar, [_scalar_mul(Fraction(c), E.generator())], E)
+        minp = Matrix.from_rows(QQ, [coords(mul(u, gamma)) for u in units]).min_poly()
+        if len(minp) <= len(units):
             continue
-        # minimal polynomial of gamma: express gamma^dim in lower powers
-        rhs = [QQ.from_base(v) for v in rows[ring.dim]]
-        sol = mat.solve(rhs)
-        modulus = [-c.coords[0] for c in sol] + [Fraction(1)]
-        E2 = number_field(modulus)
-        in_powers = lambda elem: [c.coords[0] for c in mat.solve(
-            [QQ.from_base(v) for v in ring.coords(elem)])]
-        emb = FieldEmbedding(E, E2, E2.element(in_powers(alpha)))
-        root = E2.element(in_powers(xbar))
-        return E2, emb, root
+        E2 = number_field([m.coords[0] for m in minp])
+        pows = [[E.one()]]
+        for _ in range(len(units) - 1):
+            pows.append(mul(pows[-1], gamma))
+        in_powers = coordinates(QQ, [coords(a) for a in pows])
+
+        def image(a):
+            return E2.element([v.coords[0] for v in in_powers(coords(a))])
+
+        return E2, FieldEmbedding(E, E2, image(alpha)), image(xbar)
     raise PrimitiveElementError("no primitive element with multipliers up to +-20")

@@ -343,3 +343,25 @@ def in_row_space(field, basis, vec):
 
 def kronecker(a, b):
     return a.kronecker(b)
+
+
+def coordinates(field, vectors):
+    """The function giving a vector's coefficients in terms of ``vectors``.
+
+    The coefficients are a list, unique when ``vectors`` are linearly
+    independent; the function returns None for a vector outside their span.
+    Each vector is tagged with -e_j, so a member x of the span reduces to
+    (0 | its coefficients).
+    """
+    n = len(vectors)
+    zero, minus_one = field.zero(), -field.one()
+    span = Echelon(field, [tuple(v) + tuple(minus_one if k == j else zero
+                                             for k in range(n))
+                           for j, v in enumerate(vectors)])
+
+    def coords(vec):
+        v = span.reduce(tuple(vec) + (zero,) * n)
+        width = len(v) - n
+        return None if any(v[:width]) else v[width:]
+
+    return coords

@@ -22,7 +22,13 @@ import random
 from typing import NamedTuple, Optional
 
 from .errors import AlgebraMismatch, BadParams, NotInvariant
-from .linalg import Echelon, Matrix, linear_combination, row_space_basis
+from .linalg import (
+    Echelon,
+    Matrix,
+    coordinates,
+    linear_combination,
+    row_space_basis,
+)
 
 
 class Module:
@@ -224,21 +230,11 @@ def end_algebra(M):
         raise BadParams("end_algebra needs a nonzero module")
     hb = hom_space(M, M)
     field = M.algebra.field
-    d = len(hb.mats)
-    zero, minus_one = field.zero(), -field.one()
-    # vec(f_j) tagged with -e_j: an endomorphism x reduces to (0 | its coordinates)
-    span = Echelon(field, [m.vec() + tuple(minus_one if k == j else zero
-                                           for k in range(d))
-                           for j, m in enumerate(hb.mats)])
-    width = M.dim * M.dim
-
-    def coords(x):
-        return span.reduce(x.vec() + (zero,) * d)[width:]
-
-    constants = [[coords(a @ b) for b in hb.mats] for a in hb.mats]
-    unit = coords(Matrix.identity(field, M.dim))
-    labels = [f"f{i}" for i in range(d)]
-    return Algebra(field, d, labels, constants, unit), hb
+    in_basis = coordinates(field, [m.vec() for m in hb.mats])
+    constants = [[in_basis((a @ b).vec()) for b in hb.mats] for a in hb.mats]
+    unit = in_basis(Matrix.identity(field, M.dim).vec())
+    labels = [f"f{i}" for i in range(len(hb.mats))]
+    return Algebra(field, len(hb.mats), labels, constants, unit), hb
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from splitfields.algebras import cyclic_group_algebra, diagonal_algebra
 from splitfields.basechange import extend_algebra
 from splitfields.cli import main
 from splitfields.corpus import bundled_algebras
-from splitfields.errors import BadParams
+from splitfields.errors import BadParams, TooLarge
 from splitfields.fields import (
     embed_find,
+    finite_field,
     finite_field_of_degree,
     number_field,
     prime_field,
@@ -196,6 +197,20 @@ def test_large_prime_field(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(docs.dumps(docs.algebra_out(diagonal_algebra(1, F))))
     assert main(["validate", str(path)]) == 0
+
+
+def test_extension_of_a_large_prime_field_is_too_large(tmp_path):
+    # x^2 + 3 over GF(2^61 - 1): trial division would need p candidate divisors
+    p = 2**61 - 1
+    with pytest.raises(TooLarge):
+        finite_field(p, [3, 0, 1])
+    doc = docs.document("field", {"kind": "finite_field", "characteristic": p,
+                                  "modulus": [3, 0, 1]})
+    path = tmp_path / "field.json"
+    path.write_text(docs.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1
 
 
 def test_missing_file_exits_2(capsys):

@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from splitfields.errors import DimensionMismatch
 from splitfields.fields import finite_field_of_degree, prime_field, rationals
-from splitfields.linalg import Echelon, Matrix, in_row_space, row_space_basis
+from splitfields.linalg import (
+    Echelon,
+    Matrix,
+    coordinates,
+    in_row_space,
+    row_space_basis,
+)
 from splitfields import polys
 
 Q = rationals()
@@ -147,6 +153,25 @@ def test_echelon_contains_agrees_with_solve(case, data):
         w = _columns(field, vs).apply(coeffs)
     expected = _columns(field, vs).solve(list(w)) is not None
     assert Echelon(field, vs).contains(w) == expected
+
+
+@DERANDOMIZED
+@given(vectors(), st.data())
+def test_coordinates_agree_with_solve(case, data):
+    field, vs = case
+    scalar = _scalars(field)
+    if data.draw(st.booleans()):
+        w = tuple(data.draw(scalar) for _ in vs[0])
+    else:
+        w = _columns(field, vs).apply([data.draw(scalar) for _ in vs])
+    coeffs = coordinates(field, vs)(w)
+    expected = _columns(field, vs).solve(list(w))
+    if expected is None:
+        assert coeffs is None
+    elif Matrix.from_rows(field, vs).rank() == len(vs):
+        assert tuple(coeffs) == expected  # the coefficients are unique
+    else:
+        assert _columns(field, vs).apply(coeffs) == w
 
 
 @DERANDOMIZED
