@@ -208,19 +208,7 @@ class Matrix:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
-    # -- products and minimal polynomials ------------------------------------
-
-    def kronecker(self, other):
-        self._compat(other, False)
-        out = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                row = []
-                for a in r1:
-                    row.extend(a * b for b in r2)
-                out.append(row)
-        return Matrix(self.field, self.rows * other.rows,
-                      self.cols * other.cols, out)
+    # -- minimal polynomials ---------------------------------------------------
 
     def vec(self):
         """Row-major flattening as a coordinate tuple."""
@@ -339,10 +327,6 @@ def row_space_basis(field, vectors):
 def in_row_space(field, basis, vec):
     """Membership of ``vec`` in the span of ``basis``."""
     return Echelon(field, basis).contains(vec)
-
-
-def kronecker(a, b):
-    return a.kronecker(b)
 
 
 def coordinates(field, vectors):

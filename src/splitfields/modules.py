@@ -88,10 +88,6 @@ def module_validate(M):
     return None
 
 
-def zero_module(A):
-    return Module(A, 0, [Matrix.zeros(A.field, 0, 0)] * A.dim)
-
-
 # ---------------------------------------------------------------------------
 # spinning and subquotients
 # ---------------------------------------------------------------------------
@@ -286,14 +282,17 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
         return IsoResult(False, None)
     rng = random.Random(seed)
     for _ in range(_RANDOM_CAP):
-        if field.characteristic:
-            coeffs = [field.element([rng.randrange(field.characteristic)
-                                     for _ in range(field.degree)])
-                      for _ in range(d)]
-        else:
-            coeffs = [field.from_base(rng.randint(-3, 3)) for _ in range(d)]
+        coeffs = [_random_scalar(field, rng) for _ in range(d)]
         if any(coeffs):
             f = linear_combination(coeffs, hb.mats)
             if f.is_invertible():
                 return IsoResult(True, f)
     return IsoResult(None, None)
+
+
+def _random_scalar(field, rng):
+    """A seeded random scalar: uniform over GF(q), an integer in [-3, 3] over QQ."""
+    if field.characteristic:
+        return field.element([rng.randrange(field.characteristic)
+                              for _ in range(field.degree)])
+    return field.from_base(rng.randint(-3, 3))

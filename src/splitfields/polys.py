@@ -1,9 +1,12 @@
 """Polynomials with coefficients in an exact field.
 
 Polynomials are little-endian lists of field elements with no trailing zeros.
-Factorization over finite fields is brute-force trial division (desk scale);
-over QQ and number fields it delegates to sympy's exact routines and converts
-the coefficients back into our coordinate representation.
+Factorization over finite fields is brute-force trial division (desk scale):
+it raises ``TooLarge`` once a degree level has more than ``_BRUTE_FORCE_CAP``
+candidate divisors, and so does the irreducibility check of every finite-field
+modulus, which goes through ``is_irreducible``.  Over QQ and number fields it
+delegates to sympy's exact routines and converts the coefficients back into
+our coordinate representation.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ def add(a, b, F):
         y = b[i] if i < len(b) else F.zero()
         out.append(x + y)
     return trim(out)
-
-
-def sub(a, b, F):
-    return add(a, [-c for c in b], F)
 
 
 def mul(a, b, F):
@@ -83,14 +82,6 @@ def monic(a, F):
         return a
     inv = a[-1].inverse()
     return [inv * c for c in a]
-
-
-def gcd(a, b, F):
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = poly_divmod(a, b, F)
-        a, b = b, r
-    return monic(a, F)
 
 
 def eval_at(coeffs, a):
@@ -156,7 +147,8 @@ def _factor_finite(f, F):
             break
         if q ** d > _BRUTE_FORCE_CAP:
             raise TooLarge("finite-field factorization exceeds the desk-scale cap")
-        found = False
+        # each divisor is divided out completely, so no factor repeats and
+        # no factor of degree d is left once the scan moves on
         for tail in product(*[list(F.elements())] * d):
             g = list(tail) + [F.one()]
             quo, rem = poly_divmod(rest, g, F)
@@ -171,21 +163,8 @@ def _factor_finite(f, F):
                 mult += 1
                 rest = quo
             out.append((g, mult))
-            found = True
-        d += 1 if not found else 0
-        if found:
-            continue
-    # collect repeats of identical factors found at the same level
-    merged = {}
-    order = []
-    for g, m in out:
-        k = poly_key(g)
-        if k in merged:
-            merged[k] = (g, merged[k][1] + m)
-        else:
-            merged[k] = (g, m)
-            order.append(k)
-    return [merged[k] for k in order]
+        d += 1
+    return out
 
 
 def _sympy_field(F):

@@ -25,6 +25,7 @@ from .errors import Inconclusive, TooLarge
 from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 from .modules import (
     Module,
+    _random_scalar,
     hom_space,
     is_isomorphic,
     spin,
@@ -284,13 +285,6 @@ def _annihilator(M, dual_basis):
 def _random_algebra_element(A, rng):
     field = A.field
     return tuple(_random_scalar(field, rng) for _ in range(A.dim))
-
-
-def _random_scalar(field, rng):
-    if field.characteristic:
-        return field.element([rng.randrange(field.characteristic)
-                              for _ in range(field.degree)])
-    return field.from_base(rng.randint(-3, 3))
 
 
 def _is_scalar_matrix(f, identity):

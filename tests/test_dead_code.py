@@ -1,0 +1,66 @@
+"""Every private function, class and method of the library has a caller.
+
+A private name (``_name``, dunders excepted) is public to no one, so if no
+code in ``src/splitfields`` refers to it outside its own definition it is
+dead.  References are matched by name: a ``Name``, an attribute or an
+imported name anywhere in the package counts, except inside the definition
+itself (so a recursive call does not keep a function alive).
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import splitfields
+
+PACKAGE = Path(splitfields.__file__).resolve().parent
+
+
+def _referenced_names(node):
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rpartition(".")[2]] += 1
+    return names
+
+
+def _private_definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not name.endswith("__"):
+                yield node
+
+
+def unreferenced(package=PACKAGE):
+    """``module:name`` of each private definition nothing else refers to."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_referenced_names(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in _private_definitions(tree):
+            if everywhere[node.name] == _referenced_names(node)[node.name]:
+                dead.append(f"{module}:{node.name}")
+    return dead
+
+
+def test_no_private_definition_is_dead():
+    assert unreferenced() == []
+
+
+def test_an_unused_private_helper_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _unused():\n    return _unused()\n\n\n"
+        "class _Box:\n    def _peek(self):\n        return self._peek\n\n"
+        "    def _take(self):\n        return 2\n\n\n"
+        "def public():\n    return _used() + _Box()._take()\n")
+    assert unreferenced(tmp_path) == ["a:_unused", "a:_peek"]

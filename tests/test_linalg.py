@@ -83,14 +83,6 @@ def test_row_space_membership():
     assert not in_row_space(Q, basis, (Q.one(), Q.zero(), Q.zero()))
 
 
-def test_kronecker_dimensions():
-    a = qmat([[1, 2], [3, 4]])
-    b = qmat([[0, 1], [1, 0]])
-    k = a.kronecker(b)
-    assert (k.rows, k.cols) == (4, 4)
-    assert k.entries[0][1] == Q.one()
-
-
 # -- property tests of the echelon basis (fixed examples, no random seed) ----
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
