@@ -285,8 +285,6 @@ class FieldElement:
     def inverse(self):
         """a^(q-2) in GF(q); over a number field, the coordinates of 1 in
         a, a*x, ..., a*x^(d-1) are those of 1/a in 1, x, ..., x^(d-1)."""
-        from .linalg import coordinates
-
         f = self.field
         p = f.characteristic
         if not self:
@@ -296,6 +294,8 @@ class FieldElement:
             return FieldElement(f, ((pow(c, -1, p) if p else Fraction(1) / c),))
         if p:
             return self ** (f.order - 2)
+        from .linalg import coordinates
+
         base = _prime_base(f)
         one = coordinates(base, _multiplication_rows(self))(_base_coords(f.one(), base))
         return f.element([c.coords[0] for c in one])
