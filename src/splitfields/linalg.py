@@ -208,7 +208,7 @@ class Matrix:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
-    # -- minimal polynomials ---------------------------------------------------
+    # -- minimal polynomials -------------------------------------------------
 
     def vec(self):
         """Row-major flattening as a coordinate tuple."""

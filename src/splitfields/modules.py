@@ -291,7 +291,8 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
 
 
 def _random_scalar(field, rng):
-    """A seeded random scalar: uniform over GF(q), an integer in [-3, 3] over QQ."""
+    """A seeded random scalar: uniform in GF(q), an integer in [-3, 3] in
+    characteristic 0."""
     if field.characteristic:
         return field.element([rng.randrange(field.characteristic)
                               for _ in range(field.degree)])

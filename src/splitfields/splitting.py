@@ -187,8 +187,7 @@ def verify_chain_theorem(A, emb_mid, emb_top, seed=0):
     else:
         side_top = True
         for entry in top_report.per_simple:
-            ok, decisive = _descends_into(ctx_top, entry.module,
-                                          emb_mid, emb_top)
+            ok, decisive = _descends_into(ctx_top, entry.module, emb_top)
             details.append((entry.module.dim, ok, decisive))
             if ok is False:
                 side_top = False
@@ -204,7 +203,7 @@ def verify_chain_theorem(A, emb_mid, emb_top, seed=0):
     return ChainReport(side_top, side_mid, decisive, agree, tuple(details))
 
 
-def _descends_into(ctx_top, V, emb_mid, emb_top):
+def _descends_into(ctx_top, V, emb_top):
     """(writable in E or None for unknown, decisive flag) for a simple V over A^F."""
     descent = descend_module(ctx_top, V)
     # E_S lies inside E as subfields of F when its generator's image has a
