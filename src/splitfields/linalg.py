@@ -4,14 +4,28 @@ Matrices are immutable row-major grids of field elements.  All algorithms are
 exact Gaussian elimination; kernel bases follow the canonical free-variable
 convention (each free column set to 1 in order) so downstream bases are
 reproducible bit for bit.  Span, membership and Krylov questions go through
-one incremental echelon basis, :class:`Echelon`.
+one incremental echelon basis, :class:`Echelon`, and so do the two loops of
+the module layer: ``closure`` (spinning a subspace under matrices) and
+``intertwiners`` (the equations f a = b f of a hom space).
+
+Over finite fields the elimination runs on integer codes, as in Parker's
+MeatAxe: a GF(p) scalar is its residue mod p, for any p, and a GF(p^k)
+scalar with q <= 256 is an index into per-field add/sub/mul/inverse tables,
+built at first use from the powers of a primitive element.  Characteristic 0
+and GF(p^k) with q > 256 eliminate on ``FieldElement``s.  Each ``Echelon``
+picks its scalar kernel once, from its field.  Only this module knows the
+codes: vectors and matrices go in and come out as field elements, and matrix
+arithmetic (``@``, ``apply``, the powers in ``min_poly``) stays on field
+elements.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from operator import mul
 
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
+from .fields import FieldElement
 
 
 class Matrix:
@@ -241,72 +255,297 @@ class Matrix:
 class Echelon:
     """A row space grown one vector at a time, kept in reduced row echelon form.
 
-    ``rows`` are the nonzero rref rows of the span in pivot order and
-    ``pivots`` their pivot columns.  RREF is unique, so the basis depends on
-    the span only, never on the order of insertion.  A vector of the span has
-    its entries at the pivot columns as coordinates in this basis.
+    The rows are the nonzero rref rows of the span in pivot order, held as
+    codes of the field's scalar kernel (chosen once, from the field), and
+    ``pivots`` are their pivot columns.  Vectors go in and come out as field
+    elements.  RREF is unique, so the basis depends on the span only, never
+    on the order of insertion.  A vector of the span has its entries at the
+    pivot columns as coordinates in this basis.
     """
 
-    __slots__ = ("field", "rows", "pivots")
+    __slots__ = ("field", "pivots", "_k", "_rows")
 
     def __init__(self, field, vectors=()):
         self.field = field
-        self.rows = []
         self.pivots = []
+        self._k = _arithmetic(field)
+        self._rows = []
         for v in vectors:
             self.insert(v)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _reduce(self, v):
+        eliminate = self._k.eliminate
+        for row, pc in zip(self._rows, self.pivots):
+            c = v[pc]
+            if c:
+                v = eliminate(v, c, row)
+        return v
 
     def reduce(self, vec):
         """``vec`` minus its part in the span; zero at every pivot column."""
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        return v
+        k = self._k
+        return k.decode(self._reduce(k.encode(vec)))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(self._reduce(self._k.encode(vec)))
 
     def insert(self, vec):
         """Add ``vec`` to the span; True when the span grew."""
-        v = self.reduce(vec)
-        pc = next((j for j, c in enumerate(v) if c), None)
-        if pc is None:
+        return self._insert(self._k.encode(vec))
+
+    def _insert(self, v):
+        v = self._reduce(v)
+        for pc, c in enumerate(v):
+            if c:
+                break
+        else:
             return False
-        inv = v[pc].inverse()
-        v = tuple(inv * c if c else c for c in v)
-        for i, row in enumerate(self.rows):
+        k = self._k
+        v = k.normalize(v, pc)
+        rows = self._rows
+        for i, row in enumerate(rows):
             c = row[pc]
             if c:
-                self.rows[i] = tuple(a - c * b if b else a for a, b in zip(row, v))
-        k = bisect(self.pivots, pc)
-        self.rows.insert(k, v)
-        self.pivots.insert(k, pc)
+                rows[i] = k.eliminate(row, c, v)
+        at = bisect(self.pivots, pc)
+        rows.insert(at, v)
+        self.pivots.insert(at, pc)
         return True
 
     def basis(self):
-        return list(self.rows)
+        decode = self._k.decode
+        return [tuple(decode(row)) for row in self._rows]
 
     def kernel(self, cols):
         """Canonical basis of the right null space of the rows (vectors of
         length ``cols``): one vector per free column j, with 1 at j and 0 at
         the other free columns."""
-        zero, one = self.field.zero(), self.field.one()
+        k = self._k
         pivots = set(self.pivots)
         basis = []
         for j in range(cols):
             if j in pivots:
                 continue
-            v = [zero] * cols
-            v[j] = one
-            for row, pc in zip(self.rows, self.pivots):
-                v[pc] = -row[j]
-            basis.append(tuple(v))
+            v = [k.zero] * cols
+            v[j] = k.one
+            for row, pc in zip(self._rows, self.pivots):
+                v[pc] = k.neg(row[j])
+            basis.append(tuple(k.decode(v)))
         return basis
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels: what an Echelon row holds, and its arithmetic
+# ---------------------------------------------------------------------------
+#
+# Every kernel offers the same few operations on codes: ``encode`` and
+# ``decode`` a vector, ``rows`` of a matrix, ``apply`` such rows to a vector,
+# ``eliminate(a, c, b)`` = a - c b, ``normalize(v, pc)`` = v / v[pc], and the
+# scalars ``zero``, ``one``, ``neg`` and ``sub``.  A zero code is falsy.
+
+_TABLE_BOUND = 256   # largest GF(p^k) given arithmetic tables, as in the MeatAxe
+_KERNELS = {}        # field -> its scalar kernel, built at first use
+
+
+def _arithmetic(field):
+    """The scalar kernel of ``field``: residues for GF(p), tables for GF(p^k)
+    with q <= 256, field elements in characteristic 0 and for larger q."""
+    kernel = _KERNELS.get(field)
+    if kernel is None:
+        if not field.characteristic or \
+                (field.degree > 1 and field.order > _TABLE_BOUND):
+            kind = _Elements
+        else:
+            kind = _Residues if field.degree == 1 else _Tables
+        kernel = _KERNELS[field] = kind(field)
+    return kernel
+
+
+def _foreign(field):
+    raise FieldMismatch(f"elements of {field} expected")
+
+
+class _Elements:
+    """Field elements as their own codes: characteristic 0 and GF(q), q > 256."""
+
+    __slots__ = ("zero", "one")
+
+    def __init__(self, field):
+        self.zero, self.one = field.zero(), field.one()
+
+    def encode(self, vec):
+        return list(vec)
+
+    decode = encode
+
+    def rows(self, m):
+        return m.entries
+
+    def apply(self, rows, v):
+        return [sum((a * b for a, b in zip(r, v) if a and b), self.zero)
+                for r in rows]
+
+    def eliminate(self, a, c, b):
+        return [x - c * y if y else x for x, y in zip(a, b)]
+
+    def normalize(self, v, pc):
+        inv = v[pc].inverse()
+        return [inv * c if c else c for c in v]
+
+    def neg(self, c):
+        return -c
+
+    def sub(self, a, b):
+        return a - b
+
+
+class _Residues:
+    """GF(p), any p: the code of an element is its residue in [0, p)."""
+
+    __slots__ = ("field", "p", "elems")
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        self.field = field
+        self.p = p = field.characteristic
+        # shared elements to decode into, for the small primes
+        self.elems = [FieldElement(field, (c,)) for c in range(p)] \
+            if p <= _TABLE_BOUND else None
+
+    def encode(self, vec):
+        F = self.field
+        return [e.coords[0] if e.field is F or e.field == F else _foreign(F)
+                for e in vec]
+
+    def decode(self, v):
+        elems = self.elems
+        if elems is None:
+            F = self.field
+            return [FieldElement(F, (c,)) for c in v]
+        return [elems[c] for c in v]
+
+    def rows(self, m):
+        if m.field != self.field:
+            _foreign(self.field)
+        return [[e.coords[0] for e in r] for r in m.entries]
+
+    def apply(self, rows, v):
+        p = self.p
+        return [sum(map(mul, r, v)) % p for r in rows]
+
+    def eliminate(self, a, c, b):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(a, b)]
+
+    def normalize(self, v, pc):
+        p = self.p
+        inv = pow(v[pc], -1, p)
+        return [x * inv % p for x in v]
+
+    def neg(self, c):
+        return -c % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+
+class _Tables:
+    """GF(p^k) with q = p^k <= 256.  The code of an element is its coordinate
+    vector read as base-p digits, c_0 + c_1 p + ... + c_(k-1) p^(k-1), so 0
+    is zero and 1 is one, and every scalar operation is a lookup in a q x q
+    table.  Sums are digit arithmetic on the codes; products and inverses
+    come from the logarithms to a primitive element, so the tables cost
+    O(q) field operations (finding that element and its q - 1 powers).
+    """
+
+    __slots__ = ("field", "elems", "index", "sums", "diffs", "negs", "prods",
+                 "invs")
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        p, k, q = field.characteristic, field.degree, field.order
+        self.field = field
+        self.elems = [FieldElement(field, tuple(c // p ** i % p for i in range(k)))
+                      for c in range(q)]
+        self.index = {e.coords: c for c, e in enumerate(self.elems)}
+        self.sums = _digit_sums(p, q)
+        self.negs = [row.index(0) for row in self.sums]
+        self.diffs = [[row[nb] for nb in self.negs] for row in self.sums]
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        n = q - 1
+        self.prods = [[0] * q] + [[0] + [exp[(log[a] + log[b]) % n]
+                                         for b in range(1, q)]
+                                  for a in range(1, q)]
+        self.invs = [0] + [exp[-log[a] % n] for a in range(1, q)]
+
+    def _primitive_powers(self):
+        """Codes of g^0, ..., g^(q-2) for the primitive element g of least code."""
+        q = self.field.order
+        primes = [r for r in range(2, q)
+                  if (q - 1) % r == 0 and all(r % s for s in range(2, r))]
+        one = self.elems[1]
+        g = next(g for g in self.elems[2:]
+                 if all(g ** ((q - 1) // r) != one for r in primes))
+        exp, x = [], one
+        for _ in range(q - 1):
+            exp.append(self.index[x.coords])
+            x = x * g
+        return exp
+
+    def encode(self, vec):
+        F, index = self.field, self.index
+        return [index[e.coords] if e.field is F or e.field == F else _foreign(F)
+                for e in vec]
+
+    def decode(self, v):
+        elems = self.elems
+        return [elems[c] for c in v]
+
+    def rows(self, m):
+        if m.field != self.field:
+            _foreign(self.field)
+        index = self.index
+        return [[index[e.coords] for e in r] for r in m.entries]
+
+    def apply(self, rows, v):
+        sums, prods = self.sums, self.prods
+        out = []
+        for r in rows:
+            acc = 0
+            for a, b in zip(r, v):
+                if a and b:
+                    acc = sums[acc][prods[a][b]]
+            out.append(acc)
+        return out
+
+    def eliminate(self, a, c, b):
+        diffs, times_c = self.diffs, self.prods[c]
+        return [diffs[x][times_c[y]] for x, y in zip(a, b)]
+
+    def normalize(self, v, pc):
+        times_inv = self.prods[self.invs[v[pc]]]
+        return [times_inv[x] for x in v]
+
+    def neg(self, c):
+        return self.negs[c]
+
+    def sub(self, a, b):
+        return self.diffs[a][b]
+
+
+def _digit_sums(p, q):
+    """The q x q table of code sums: digitwise addition mod p."""
+    if q == p:
+        return [[(a + b) % p for b in range(p)] for a in range(p)]
+    high = _digit_sums(p, q // p)
+    return [[(a + b) % p + p * high[a // p][b // p] for b in range(q)]
+            for a in range(q)]
 
 
 def linear_combination(coeffs, mats):
@@ -349,3 +588,53 @@ def coordinates(field, vectors):
         return None if any(v[:width]) else v[width:]
 
     return coords
+
+
+def closure(field, mats, vectors):
+    """Canonical (RREF) basis of the smallest subspace that contains
+    ``vectors`` and that every matrix of ``mats`` maps into itself, acting on
+    column vectors.  The closure runs on the field's codes."""
+    span = Echelon(field)
+    k = span._k
+    ops = [k.rows(m) for m in mats]
+    frontier = [v for v in map(k.encode, vectors) if span._insert(v)]
+    dim = len(frontier[0]) if frontier else 0
+    while frontier and len(span) < dim:
+        v = frontier.pop()
+        for op in ops:
+            w = k.apply(op, v)
+            if span._insert(w):
+                frontier.append(w)
+    return span.basis()
+
+
+def intertwiners(field, rows, cols, pairs):
+    """Canonical basis of the rows x cols matrices f with f a = b f for every
+    pair (a, b) of ``pairs``, as Matrices.
+
+    The unknowns are the entries of f, row-major, and the basis is the
+    free-variable kernel basis of the RREF of the equations, built on the
+    field's codes; once the equations have full rank the rest are skipped.
+    """
+    span = Echelon(field)
+    k = span._k
+    unknowns = rows * cols
+    for a, b in pairs:
+        a_cols = list(zip(*k.rows(a)))
+        b = k.rows(b)
+        neg_b = [[k.neg(e) for e in r] for r in b]
+        # (f a - b f)[r][c] = sum_j f[r][j] a[j][c] - sum_j b[r][j] f[j][c]
+        for r in range(rows):
+            for c in range(cols):
+                eq = [k.zero] * unknowns
+                eq[r * cols:(r + 1) * cols] = a_cols[c]
+                for j in range(rows):
+                    eq[j * cols + c] = neg_b[r][j]
+                # f[r][c] is the one unknown in both sums
+                eq[r * cols + c] = k.sub(a_cols[c][c], b[r][r])
+                span._insert(eq)
+        if len(span) == unknowns:
+            break
+    return [Matrix(field, rows, cols,
+                   [v[r * cols:(r + 1) * cols] for r in range(rows)])
+            for v in span.kernel(unknowns)]

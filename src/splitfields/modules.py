@@ -25,7 +25,9 @@ from .errors import AlgebraMismatch, BadParams, NotInvariant
 from .linalg import (
     Echelon,
     Matrix,
+    closure,
     coordinates,
+    intertwiners,
     linear_combination,
     row_space_basis,
 )
@@ -99,16 +101,8 @@ def spin(M, seed_vectors):
     generators only; M must satisfy the module axioms (see the module
     docstring).  The basis is the RREF basis of the submodule.
     """
-    span = Echelon(M.algebra.field)
     gens = [M.actions[g] for g in M.algebra._generators()]
-    frontier = [v for v in seed_vectors if span.insert(v)]
-    while frontier and len(span) < M.dim:
-        v = frontier.pop()
-        for act in gens:
-            w = act.apply(v)
-            if span.insert(w):
-                frontier.append(w)
-    return span.basis()
+    return closure(M.algebra.field, gens, seed_vectors)
 
 
 def is_invariant(M, vectors):
@@ -187,31 +181,8 @@ def hom_space(M, N):
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("modules over different algebras")
-    field = M.algebra.field
-    nm, nn = M.dim, N.dim
-    if nm == 0 or nn == 0:
-        return HomBasis(M, N, ())
-    unknowns = nn * nm  # f[r][c], row-major
-    zero = field.zero()
-    span = Echelon(field)
-    for g in M.algebra._generators():
-        am_cols = M.actions[g].transpose().entries
-        an = N.actions[g].entries
-        neg_an = [[-e for e in row] for row in an]
-        # (f @ am - an @ f)[r][c] = sum_k f[r][k] am[k][c] - sum_k an[r][k] f[k][c]
-        for r in range(nn):
-            for c in range(nm):
-                row = [zero] * unknowns
-                row[r * nm:(r + 1) * nm] = am_cols[c]
-                for k in range(nn):
-                    row[k * nm + c] = neg_an[r][k]
-                # f[r][c] is the one unknown in both sums
-                row[r * nm + c] = am_cols[c][c] - an[r][r]
-                span.insert(row)
-        if len(span) == unknowns:
-            break
-    mats = [Matrix(field, nn, nm, [v[r * nm:(r + 1) * nm] for r in range(nn)])
-            for v in span.kernel(unknowns)]
+    pairs = [(M.actions[g], N.actions[g]) for g in M.algebra._generators()]
+    mats = intertwiners(M.algebra.field, N.dim, M.dim, pairs)
     return HomBasis(M, N, tuple(mats))
 
 
