@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd as _int_gcd
 
 from .errors import BadParams, TooLarge
-from .fields import FieldElement, RATIONALS
+from .fields import RATIONALS
 
 _BRUTE_FORCE_CAP = 1_000_000  # candidate divisors per degree level
 
@@ -201,8 +201,9 @@ def _factor_char0(f, F):
         poly = sympy.Poly(coeffs, x, domain=K)
     out = []
     for g, mult in poly.factor_list()[1]:
-        gc = [K.convert(c) for c in reversed(g.all_coeffs())]
-        elems = [_from_sympy_coeff(c, F, K) for c in gc]
+        # the domain elements themselves: converting g's sympy expressions
+        # back would make sympy rebuild the number field for each of them
+        elems = [_from_sympy_coeff(c, F, K) for c in reversed(g.rep.to_list())]
         out.append((monic(elems, F), mult))
     return out
 

@@ -1,3 +1,7 @@
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
 
 from splitfields.algebras import (
@@ -24,6 +28,7 @@ from splitfields.fields import (
 )
 from splitfields.linalg import Matrix
 from splitfields.modules import Module
+from splitfields.polys import factor
 from splitfields.splitting import (
     _descends_into,
     find_splitting_field,
@@ -162,3 +167,43 @@ def test_descent_must_land_inside_the_middle_field():
 
     assert _descends_into(ctx, module(omega * cbrt2), emb_top) == (False, True)
     assert _descends_into(ctx, module(cbrt2), emb_top) == (True, True)
+
+
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def stop(signum, frame):
+        raise TimeoutError(f"took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_factoring_over_a_number_field_reads_domain_elements():
+    # converting sympy's factor expressions back rebuilt QQ(alpha) for each
+    # coefficient and did not return within minutes on this input
+    K = number_field([Fraction(8, 9), Fraction(4, 3), 1])
+    f = [K.from_base(Fraction(265, 4)), K.from_base(3), K.one()]
+    with _within(5):
+        factors = factor(f, K)
+    assert [g for g, _ in factors] == [
+        [K.element([Fraction(-13, 2), -12]), K.one()],
+        [K.element([Fraction(19, 2), 12]), K.one()],
+    ]
+
+
+def test_chain_theorem_on_the_cube_root_of_two_tower():
+    # QQ < E = QQ(cbrt2) < F = E(omega) for the QQ-algebra E: E (x) E has
+    # the factor E(omega), so E does not split it; F does, but the simple
+    # on which cbrt2 acts as omega cbrt2 cannot be written in E
+    E = number_field([-2, 0, 0, 1])
+    F, emb_top, _omega = adjoin_root(E, [E.one(), E.one(), E.one()])
+    with _within(5):
+        rep = verify_chain_theorem(field_algebra(E), embed_find(Q, E), emb_top)
+    assert rep.decisive and rep.agree
+    assert rep.side_mid is False and rep.side_top is False
