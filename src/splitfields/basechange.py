@@ -26,7 +26,6 @@ from .fields import (
     compose_embeddings,
     embed_find,
     embedding_preimage,
-    identity_embedding,
     subfield_generated,
 )
 from .linalg import Echelon, Matrix, linear_combination
@@ -49,13 +48,14 @@ def extend_algebra(A, emb):
     """The algebra with the same structure constants over the larger field."""
     if A.field != emb.source:
         raise FieldMismatch("algebra is not defined over the embedding source")
+    # an embedding is an injective ring map, so A^F reports exactly what A does
+    report = algebra_validate(A)
+    if report is not None:
+        raise InternalInvariantError(f"extension broke the axioms: {report}")
     constants = [[[emb.apply(e) for e in vec] for vec in row]
                  for row in A.constants]
     unit = [emb.apply(e) for e in A.unit]
     extended = Algebra(emb.target, A.dim, A.basis_labels, constants, unit)
-    report = algebra_validate(extended)
-    if report is not None:  # pragma: no cover - embeddings are homomorphisms
-        raise InternalInvariantError(f"extension broke the axioms: {report}")
     return ExtensionContext(emb, A, extended)
 
 

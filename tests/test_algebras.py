@@ -25,9 +25,22 @@ from splitfields.algebras import (
     quotient_algebra,
     upper_triangular_algebra,
 )
+from splitfields.basechange import extend_algebra
 from splitfields.corpus import bundled_algebras
-from splitfields.errors import BadParams, NotAGroup, NotAnIdeal
-from splitfields.fields import finite_field_of_degree, prime_field, rationals
+from splitfields.errors import (
+    BadParams,
+    InternalInvariantError,
+    NotAGroup,
+    NotAnIdeal,
+)
+from splitfields.fields import (
+    FieldEmbedding,
+    embed_find,
+    finite_field_of_degree,
+    number_field,
+    prime_field,
+    rationals,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -127,6 +140,34 @@ def validate_reports():
 def test_validate_reports_are_unchanged():
     golden = json.loads(GOLDEN_VALIDATE.read_text(encoding="utf-8"))
     assert validate_reports() == golden
+
+
+def test_validate_reports_survive_extension():
+    """An embedding is an injective ring map, so A^F fails the axioms exactly
+    where A does; extend_algebra checks A and raises with A's report."""
+    Qi = number_field([1, 0, 1])
+    along = {F2: embed_find(F2, finite_field_of_degree(2, 2)),
+             Q: FieldEmbedding(Q, Qi, Qi.one())}
+    checked = 0
+    for A in bundled_algebras().values():
+        emb = along.get(A.field)
+        if emb is None:
+            continue
+        for i, j, l in corrupted_positions(A.dim):
+            B = corrupted(A, i, j, l)
+            image = Algebra(emb.target, B.dim, B.basis_labels,
+                            [[[emb.apply(e) for e in v] for v in row]
+                             for row in B.constants],
+                            [emb.apply(e) for e in B.unit])
+            report = algebra_validate(B)
+            assert algebra_validate(image) == report
+            if report is None:
+                assert extend_algebra(B, emb).extended == image
+            else:
+                with pytest.raises(InternalInvariantError, match="broke the axioms"):
+                    extend_algebra(B, emb)
+            checked += 1
+    assert checked > 40
 
 
 if __name__ == "__main__":
