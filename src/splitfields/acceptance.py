@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import corpus
 from .basechange import extend_algebra, extend_module, theta_dim_check
 from .fields import identity_embedding, poly_roots, prime_field
-from .modules import hom_space
 from .splitting import (
     is_split,
     find_splitting_field,

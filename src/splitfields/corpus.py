@@ -7,7 +7,6 @@ and the random-module generator is a pure function of its seed.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from .algebras import (
     cyclic_group_algebra,
@@ -25,7 +24,7 @@ from .fields import (
     rationals,
 )
 from .linalg import Matrix
-from .modules import Module, conjugate, direct_sum, sub_quotient, spin
+from .modules import conjugate, direct_sum, sub_quotient, spin
 
 
 def gaussian_rationals():

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import InputError
 from .fields import (
-    FieldDescriptor,
-    FieldElement,
     finite_field,
     number_field,
     prime_field,

@@ -18,7 +18,6 @@ from .basechange import descend_module, extend_algebra, extend_module
 from .errors import (
     DegreeCapExceeded,
     InternalInvariantError,
-    NotOverE,
     NotSimple,
     PreconditionFailed,
 )
@@ -30,7 +29,7 @@ from .fields import (
     identity_embedding,
 )
 from .linalg import Echelon, Matrix, row_space_basis
-from .modules import hom_space, is_isomorphic
+from .modules import hom_space
 from .structure import composition_factors, radical, simple_modules
 
 

@@ -1,10 +1,15 @@
-"""Every private function, class and method of the library has a caller.
+"""Every private function, class and method of the library has a caller,
+and every imported name is used.
 
 A private name (``_name``, dunders excepted) is public to no one, so if no
 code in ``src/splitfields`` refers to it outside its own definition it is
 dead.  References are matched by name: a ``Name``, an attribute or an
 imported name anywhere in the package counts, except inside the definition
 itself (so a recursive call does not keep a function alive).
+
+A name a module imports is dead unless the module reads it as a ``Name``
+somewhere.  The re-exports of ``__init__.py`` and ``from __future__``
+imports are exempt.
 """
 
 import ast
@@ -52,6 +57,25 @@ def unreferenced(package=PACKAGE):
     return dead
 
 
+def unused_imports(package=PACKAGE):
+    """``module:name`` of each imported name its module never reads."""
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        dead.append(f"{path.stem}:{name}")
+    return dead
+
+
 def test_no_private_definition_is_dead():
     assert unreferenced() == []
 
@@ -64,3 +88,19 @@ def test_an_unused_private_helper_is_found(tmp_path):
         "    def _take(self):\n        return 2\n\n\n"
         "def public():\n    return _used() + _Box()._take()\n")
     assert unreferenced(tmp_path) == ["a:_unused", "a:_peek"]
+
+
+def test_no_import_is_unused():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import public\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport re as regex\nfrom math import gcd, lcm\n"
+        "from typing import Iterator\n\n\n"
+        "def public(n) -> Iterator:\n"
+        "    from fractions import Fraction\n"
+        "    return lcm(n, 2), regex.escape(str(n)), os.sep\n")
+    assert unused_imports(tmp_path) == ["a:gcd", "a:Fraction"]
