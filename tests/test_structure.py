@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitfields import structure
 from splitfields.algebras import (
@@ -13,8 +14,9 @@ from splitfields.algebras import (
     upper_triangular_algebra,
 )
 from splitfields.corpus import bundled_algebras
-from splitfields.fields import prime_field, rationals
+from splitfields.fields import finite_field_of_degree, prime_field, rationals
 from splitfields.linalg import Matrix
+from splitfields.modules import conjugate, direct_sum, spin, sub_quotient
 from splitfields.structure import (
     composition_factors,
     is_semisimple,
@@ -114,6 +116,58 @@ def test_oracle_series_agrees_with_structure():
         M = A.regular_module()
         assert sorted(oracle_composition_series_dims(M)) == \
             sorted(S.dim for S, m in composition_factors(M) for _ in range(m))
+
+
+ORACLE_FIELDS = (F2, F3, finite_field_of_degree(2, 2),
+                 finite_field_of_degree(3, 2))
+ORACLE_SOURCES = (lambda F: cyclic_group_algebra(2, F),
+                  lambda F: cyclic_group_algebra(3, F),
+                  lambda F: cyclic_group_algebra(4, F),
+                  lambda F: upper_triangular_algebra(2, F),
+                  lambda F: matrix_algebra(2, F))
+
+
+@st.composite
+def oracle_modules(draw):
+    """A module of dimension <= 4 over GF(2), GF(3), GF(4) or GF(9): a regular
+    module, a spun sub or quotient of one, or the sum of two such pieces,
+    under a seeded change of basis."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    A = draw(st.sampled_from(ORACLE_SOURCES))(field)
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+
+    def element():
+        p = field.characteristic
+        return field.element([rng.randrange(p) for _ in range(field.degree)])
+
+    def piece():
+        M = A.regular_module()
+        part = draw(st.sampled_from(("reg", "sub", "quot")))
+        basis = spin(M, [[element() for _ in range(M.dim)]])
+        if part == "reg" or not 0 < len(basis) < M.dim:
+            return M
+        parts = sub_quotient(M, basis)
+        return parts.sub if part == "sub" else parts.quot
+
+    M = piece()
+    if draw(st.booleans()):
+        other = piece()
+        if M.dim + other.dim <= 4:
+            M = direct_sum(M, other)
+    while True:
+        P = Matrix(field, M.dim, M.dim,
+                   [[element() for _ in range(M.dim)] for _ in range(M.dim)])
+        if P.is_invertible():
+            return conjugate(M, P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracle_modules())
+def test_composition_factors_agree_with_the_oracle(M):
+    factors = composition_factors(M)
+    dims = sorted(S.dim for S, mult in factors for _ in range(mult))
+    assert dims == sorted(oracle_composition_series_dims(M))
+    assert sum(mult * S.dim for S, mult in factors) == M.dim
 
 
 def _change_basis(A, P):
