@@ -21,6 +21,12 @@ from .linalg import Echelon, Matrix
 
 
 class Algebra:
+    """Structure constants over one field.  The constructor checks shapes
+    and fields only; everything else assumes the axioms (associativity and a
+    two-sided unit).  Documents and ``quaternion_algebra`` validate; other
+    constructors, quotients and base changes are valid by construction.
+    Check an algebra built by hand with ``algebra_validate`` before use."""
+
     __slots__ = ("field", "dim", "basis_labels", "constants", "unit", "_key",
                  "_gens")
 

@@ -7,16 +7,20 @@ form over its prime base; elements are coefficient vectors over that base
 Embeddings between fields are explicit and recorded by the image of the
 source generator.
 
-A modulus is irreducible when ``polys.is_irreducible`` says so over the prime
-base (trial division under the ``polys`` cap in characteristic p, sympy in
-characteristic 0).  The inverse in GF(q) is a^(q-2); in a number field it is
-read off ``linalg.coordinates``, as are preimages under embeddings and the
-powers of a primitive element when a root is adjoined.
+There is one ``FieldDescriptor`` object per field: every constructor returns
+the same object for the same field, so identity is equality.  A modulus is
+irreducible when ``polys.is_irreducible`` says so over the prime base (trial
+division under the ``polys`` cap in characteristic p, sympy in characteristic
+0), checked once per modulus and process; a rejected one raises on every
+call.  The inverse in GF(q) is a^(q-2); in a number field it is read off
+``linalg.coordinates``, as are preimages under embeddings and the powers of
+a primitive element when a root is adjoined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -34,19 +38,6 @@ PRIME_FIELD = "prime_field"
 FINITE_FIELD = "finite_field"
 
 
-def _is_prime(n):
-    from sympy import isprime
-
-    return isprime(n)
-
-
-def _is_irreducible(coeffs, base):
-    """Irreducibility of a polynomial over the prime base, through ``polys``."""
-    from . import polys
-
-    return polys.is_irreducible([base.from_base(c) for c in coeffs], base)
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
@@ -56,26 +47,14 @@ class FieldDescriptor:
     """An exact field: QQ, QQ[x]/(f), GF(p) or GF(p)[x]/(g).
 
     ``modulus`` is the monic irreducible defining polynomial over the prime
-    base, little-endian, or ``None`` when the degree is 1.
+    base, little-endian, or ``None`` when the degree is 1.  Only the
+    constructors below make descriptors: a copy would be another field.
     """
 
     kind: str
     characteristic: int
     modulus: tuple | None
     degree: int
-
-    # every matrix entry and field operation compares descriptors, and almost
-    # always against the very same object
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.characteristic, self.modulus, self.degree) == \
-            (other.kind, other.characteristic, other.modulus, other.degree)
-
-    def __hash__(self):
-        return hash((self.kind, self.characteristic, self.modulus, self.degree))
 
     # -- constructors for elements --------------------------------------
 
@@ -146,52 +125,68 @@ def _poly_str(coeffs):
     return " + ".join(terms) if terms else "0"
 
 
+@cache
 def rationals():
     return FieldDescriptor(RATIONALS, 0, None, 1)
 
 
+@cache
 def prime_field(p):
-    if not _is_prime(p):
+    from sympy import isprime
+
+    if not isprime(p):
         raise BadParams(f"{p} is not prime")
     return FieldDescriptor(PRIME_FIELD, p, None, 1)
 
 
+@cache
+def _extension(p, coeffs):
+    """The field of a monic modulus over the prime base of characteristic p,
+    or None when the modulus is reducible; the one check of each modulus."""
+    from . import polys
+
+    base = prime_field(p) if p else rationals()
+    if not polys.is_irreducible([base.from_base(c) for c in coeffs], base):
+        return None
+    return FieldDescriptor(FINITE_FIELD if p else NUMBER_FIELD, p, coeffs,
+                           len(coeffs) - 1)
+
+
 def number_field(modulus):
     """QQ[x]/(f) for monic irreducible f of degree >= 2 over QQ."""
-    coeffs = [Fraction(c) for c in modulus]
+    coeffs = tuple(Fraction(c) for c in modulus)
     if len(coeffs) < 3:
         raise BadParams("number field modulus must have degree >= 2")
     if coeffs[-1] != 1:
         raise BadParams("modulus must be monic")
-    if not _is_irreducible(coeffs, rationals()):
+    F = _extension(0, coeffs)
+    if F is None:
         raise BadParams("modulus is reducible over QQ")
-    return FieldDescriptor(NUMBER_FIELD, 0, tuple(coeffs), len(coeffs) - 1)
+    return F
 
 
 def finite_field(p, modulus):
     """GF(p)[x]/(g) for monic irreducible g of degree >= 2 over GF(p)."""
-    if not _is_prime(p):
-        raise BadParams(f"{p} is not prime")
-    coeffs = [int(c) % p for c in modulus]
+    prime_field(p)                  # raises unless p is prime
+    coeffs = tuple(int(c) % p for c in modulus)
     if len(coeffs) < 3:
         raise BadParams("finite field modulus must have degree >= 2")
     if coeffs[-1] != 1:
         raise BadParams("modulus must be monic")
-    if not _is_irreducible(coeffs, prime_field(p)):
+    F = _extension(p, coeffs)
+    if F is None:
         raise BadParams("modulus is reducible over the prime field")
-    return FieldDescriptor(FINITE_FIELD, p, tuple(coeffs), len(coeffs) - 1)
+    return F
 
 
+@cache
 def finite_field_of_degree(p, m):
     """The canonical GF(p^m): lexicographically least monic irreducible modulus."""
     base = prime_field(p)
     if m == 1:
         return base
-    for tail in product(range(p), repeat=m):
-        coeffs = list(tail) + [1]
-        if _is_irreducible(coeffs, base):
-            return FieldDescriptor(FINITE_FIELD, p, tuple(coeffs), m)
-    raise BadParams("no irreducible polynomial found")  # pragma: no cover
+    fields = (_extension(p, tail + (1,)) for tail in product(range(p), repeat=m))
+    return next(F for F in fields if F is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,7 @@ class FieldElement:
         self.coords = coords
 
     def _check(self, other):
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if not isinstance(other, FieldElement) or other.field is not self.field:
             raise FieldMismatch(f"elements of {self.field} expected")
 
     def __add__(self, other):
@@ -319,7 +314,7 @@ class FieldElement:
         return any(self.coords)
 
     def __eq__(self, other):
-        return isinstance(other, FieldElement) and self.field == other.field \
+        return isinstance(other, FieldElement) and self.field is other.field \
             and self.coords == other.coords
 
     def __hash__(self):
@@ -352,7 +347,7 @@ class FieldEmbedding:
     def __post_init__(self):
         if self.source.characteristic != self.target.characteristic:
             raise NoEmbedding("characteristics differ")
-        if self.generator_image.field != self.target:
+        if self.generator_image.field is not self.target:
             raise FieldMismatch("generator image must live in the target field")
         if self.source.degree > 1:
             g = self.generator_image
@@ -375,7 +370,7 @@ class FieldEmbedding:
         return pows
 
     def apply(self, a):
-        if a.field != self.source:
+        if a.field is not self.source:
             raise FieldMismatch("element does not belong to the embedding source")
         pows = self._powers()
         out = self.target.zero()
@@ -403,7 +398,7 @@ def identity_embedding(F):
 
 def compose_embeddings(first, second):
     """The embedding second∘first."""
-    if first.target != second.source:
+    if first.target is not second.source:
         raise FieldMismatch("embeddings do not compose")
     return FieldEmbedding(first.source, second.target,
                           second.apply(first.generator_image))
@@ -415,7 +410,7 @@ def embed_find(E, F):
         raise NoEmbedding("characteristics differ")
     if E.degree == 1:
         return FieldEmbedding(E, F, F.one())
-    if E == F:
+    if E is F:
         return identity_embedding(E)
     if F.characteristic and F.degree % E.degree:
         raise NoEmbedding(f"[{E}] does not divide into [{F}]")
@@ -431,7 +426,7 @@ def embedding_preimage(emb, elem):
     """The unique preimage of ``elem`` under ``emb``, or None if not in the image."""
     from .linalg import coordinates
 
-    if elem.field != emb.target:
+    if elem.field is not emb.target:
         raise FieldMismatch("element does not belong to the embedding target")
     base = _prime_base(emb.target)
     in_powers = coordinates(base, [_base_coords(g, base) for g in emb._powers()])
@@ -513,7 +508,7 @@ def subfield_generated(F, gens):
 
     Returns ``(E, embedding E -> F)``.
     """
-    gens = [g for g in gens if g.field == F]
+    gens = [g for g in gens if g.field is F]
     if F.characteristic:
         m = 1
         for g in gens:

@@ -417,7 +417,7 @@ class _Residues:
 
     def encode(self, vec):
         F = self.field
-        return [e.coords[0] if e.field is F or e.field == F else _foreign(F)
+        return [e.coords[0] if e.field is F else _foreign(F)
                 for e in vec]
 
     def decode(self, v):
@@ -500,7 +500,7 @@ class _Tables:
 
     def encode(self, vec):
         F, index = self.field, self.index
-        return [index[e.coords] if e.field is F or e.field == F else _foreign(F)
+        return [index[e.coords] if e.field is F else _foreign(F)
                 for e in vec]
 
     def decode(self, v):

@@ -29,7 +29,6 @@ from splitfields.basechange import extend_algebra
 from splitfields.corpus import bundled_algebras
 from splitfields.errors import (
     BadParams,
-    InternalInvariantError,
     NotAGroup,
     NotAnIdeal,
 )
@@ -144,7 +143,7 @@ def test_validate_reports_are_unchanged():
 
 def test_validate_reports_survive_extension():
     """An embedding is an injective ring map, so A^F fails the axioms exactly
-    where A does; extend_algebra checks A and raises with A's report."""
+    where A does; extend_algebra maps the constants without checking them."""
     Qi = number_field([1, 0, 1])
     along = {F2: embed_find(F2, finite_field_of_degree(2, 2)),
              Q: FieldEmbedding(Q, Qi, Qi.one())}
@@ -161,11 +160,7 @@ def test_validate_reports_survive_extension():
                             [emb.apply(e) for e in B.unit])
             report = algebra_validate(B)
             assert algebra_validate(image) == report
-            if report is None:
-                assert extend_algebra(B, emb).extended == image
-            else:
-                with pytest.raises(InternalInvariantError, match="broke the axioms"):
-                    extend_algebra(B, emb)
+            assert extend_algebra(B, emb).extended == image
             checked += 1
     assert checked > 40
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from splitfields.algebras import (
@@ -15,6 +17,7 @@ from splitfields.basechange import (
     theta_dim_check,
     write_in,
 )
+from splitfields.corpus import bundled_algebras
 from splitfields.errors import NotOverE
 from splitfields.fields import (
     FieldEmbedding,
@@ -41,6 +44,26 @@ def test_extend_algebra_preserves_axioms():
         ctx = extend_algebra(A, emb)
         assert ctx.extended.dim == A.dim
         assert algebra_validate(ctx.extended) is None
+
+
+def test_extend_algebra_does_not_validate():
+    """The base change of a valid algebra is valid by construction."""
+    A = bundled_algebras()["mat3_F2"]
+    code = algebra_validate.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(event)
+
+    sys.setprofile(profile)
+    try:
+        ctx = extend_algebra(A, EMB_F4)
+        assert calls == []
+        assert algebra_validate(ctx.extended) is None
+    finally:
+        sys.setprofile(None)
+    assert calls == ["call"]
 
 
 def test_extend_module_preserves_axioms():

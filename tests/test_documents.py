@@ -1,12 +1,23 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitfields import documents as docs
 from splitfields.algebras import cyclic_group_algebra, matrix_algebra
+from splitfields.basechange import extend_algebra
 from splitfields.corpus import bundled_algebras, gaussian_rationals
 from splitfields.errors import InputError
-from splitfields.fields import finite_field_of_degree, prime_field, rationals
+from splitfields.fields import (
+    embed_find,
+    finite_field_of_degree,
+    prime_field,
+    rationals,
+)
+from splitfields.linalg import Matrix
+from splitfields.modules import spin, sub_quotient
+from test_structure import _change_basis  # A on a new basis
 
 
 def test_field_round_trip():
@@ -86,3 +97,67 @@ def test_bundled_documents_validate():
             names.add(entry.name[:-5])
     for name in bundled_algebras():
         assert name in names
+
+
+# -- round trips of seeded documents (fixed examples, no random seed) --------
+
+ROUND_TRIP_FIELDS = (rationals(), gaussian_rationals(), prime_field(2),
+                     prime_field(3), finite_field_of_degree(2, 2),
+                     finite_field_of_degree(3, 2))
+
+
+def _small_algebras(F):
+    """The bundled algebras of dimension <= 4 over F, and those over the
+    prime base of F extended to F."""
+    base = prime_field(F.characteristic) if F.characteristic else rationals()
+    out = []
+    for A in bundled_algebras().values():
+        if A.dim > 4:
+            continue
+        if A.field is F:
+            out.append(A)
+        elif A.field is base:
+            out.append(extend_algebra(A, embed_find(base, F)).extended)
+    return out
+
+
+def _element(F, rng):
+    p = F.characteristic
+    return F.element([rng.randrange(p) if p else rng.randint(-2, 2)
+                      for _ in range(F.degree)])
+
+
+@st.composite
+def seeded_objects(draw):
+    """A small algebra over one of six fields on a seeded dense basis, its
+    regular module, or a spun sub or quotient of that module."""
+    F = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    A = draw(st.sampled_from(_small_algebras(F)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    while True:
+        P = Matrix(F, A.dim, A.dim, [[_element(F, rng) for _ in range(A.dim)]
+                                     for _ in range(A.dim)])
+        if P.is_invertible():
+            break
+    B = _change_basis(A, P)
+    part = draw(st.sampled_from(("algebra", "regular", "sub", "quot")))
+    if part == "algebra":
+        return B
+    M = B.regular_module()
+    basis = spin(M, [[_element(F, rng) for _ in range(M.dim)]])
+    if part == "regular" or not 0 < len(basis) < M.dim:
+        return M
+    parts = sub_quotient(M, basis)
+    return parts.sub if part == "sub" else parts.quot
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seeded_objects())
+def test_documents_round_trip_byte_for_byte(obj):
+    out = docs.algebra_out if hasattr(obj, "constants") else docs.module_out
+    text = docs.dumps(out(obj))
+    _, back = docs.parse_any(text)
+    assert back == obj
+    assert docs.dumps(out(back)) == text
+    field = getattr(obj, "algebra", obj).field
+    assert getattr(back, "algebra", back).field is field

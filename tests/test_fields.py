@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitfields import documents, polys
 from splitfields.errors import BadParams, NoEmbedding
 from splitfields.fields import (
     FieldEmbedding,
@@ -190,3 +191,72 @@ def test_inverse_is_a_two_sided_inverse(a):
     inv = a.inverse()
     assert a * inv == a.field.one()
     assert inv * a == a.field.one()
+
+
+# -- one object per field ----------------------------------------------------
+
+def test_equal_fields_are_one_object():
+    F4 = finite_field_of_degree(2, 2)
+    F9 = finite_field_of_degree(3, 2)
+    Qi = number_field([1, 0, 1])
+    assert rationals() is rationals()
+    assert prime_field(5) is prime_field(5)
+    assert finite_field_of_degree(2, 1) is prime_field(2)
+    assert finite_field(2, [1, 1, 1]) is F4
+    assert finite_field(2, [3, -1, 5]) is F4      # reduced mod 2 first
+    assert finite_field(3, [1, 0, 1]) is F9
+    assert number_field([Fraction(1), 0, Fraction(2, 2)]) is Qi
+    for F in (rationals(), prime_field(3), F4, F9, Qi):
+        assert documents.field_in(documents.field_out(F)) is F
+
+
+def test_derived_fields_are_the_constructors_objects():
+    F2, F4, F16 = prime_field(2), finite_field_of_degree(2, 2), \
+        finite_field_of_degree(2, 4)
+    g = [F2.one(), F2.one(), F2.one()]             # x^2 + x + 1
+    assert adjoin_root(F2, g)[0] is F4
+    assert adjoin_root(F4, [F4.generator(), F4.one(), F4.one()])[0] is F16
+    Q, Qi = rationals(), number_field([1, 0, 1])
+    assert adjoin_root(Q, [Q.one(), Q.zero(), Q.one()])[0] is Qi
+    x2 = [Qi.from_base(-2), Qi.zero(), Qi.one()]   # x^2 - 2 over QQ(i)
+    assert adjoin_root(Qi, x2)[0] is adjoin_root(Qi, x2)[0]
+    t = embed_find(F4, F16).generator_image
+    assert subfield_generated(F16, [t])[0] is F4
+    assert subfield_generated(F16, [F16.one()])[0] is F2
+    assert subfield_generated(Qi, [Qi.generator()])[0] is Qi
+    assert subfield_generated(Qi, [Qi.one()])[0] is Q
+
+
+def test_each_modulus_is_checked_once(monkeypatch):
+    calls = []
+    original = polys.is_irreducible
+
+    def counted(coeffs, field):
+        calls.append(coeffs)
+        return original(coeffs, field)
+
+    monkeypatch.setattr(polys, "is_irreducible", counted)
+    E = number_field([-13, 0, 0, 1])               # x^3 - 13, seen nowhere else
+    assert len(calls) == 1
+    for make in (lambda: finite_field_of_degree(2, 8),
+                 lambda: number_field([1, 0, 1]),
+                 lambda: number_field([-13, 0, 0, 1])):
+        F = make()
+        calls.clear()
+        assert make() is F
+        assert calls == []
+    assert number_field([-13, 0, 0, 1]) is E
+    # a rejection is not cached as an exception: it raises on every call,
+    # and a reducible modulus is not factored again either
+    for i in range(2):
+        calls.clear()
+        with pytest.raises(BadParams):
+            prime_field(4)
+        with pytest.raises(BadParams):
+            finite_field(2, [1, 0, 1])             # (x + 1)^2
+        with pytest.raises(BadParams):
+            number_field([-1, 0, 1])               # (x - 1)(x + 1)
+        with pytest.raises(BadParams):
+            finite_field_of_degree(4, 2)
+        if i:
+            assert calls == []

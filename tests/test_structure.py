@@ -170,6 +170,37 @@ def test_composition_factors_agree_with_the_oracle(M):
     assert sum(mult * S.dim for S, mult in factors) == M.dim
 
 
+@st.composite
+def modules_with_subs(draw):
+    """A module from ``oracle_modules`` and the basis of a spun sub: a proper
+    one, spun from a seeded or a standard vector, whenever one of those
+    spins to a proper sub."""
+    M = draw(oracle_modules())
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    field = M.algebra.field
+    zero, one = field.zero(), field.one()
+    vectors = [[field.element([rng.randrange(field.characteristic)
+                               for _ in range(field.degree)])
+                for _ in range(M.dim)]]
+    vectors += [[one if i == j else zero for j in range(M.dim)]
+                for i in range(M.dim)]
+    subs = [spin(M, [v]) for v in vectors]
+    proper = [b for b in subs if 0 < len(b) < M.dim]
+    return M, rng.choice(proper) if proper else subs[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(modules_with_subs())
+def test_sub_quotient_splits_the_oracle_series(case):
+    M, basis = case
+    parts = sub_quotient(M, basis)
+    assert parts.sub.dim == len(basis)
+    assert parts.sub.dim + parts.quot.dim == M.dim
+    dims = sorted(S.dim for N in (parts.sub, parts.quot)
+                  for S, mult in composition_factors(N) for _ in range(mult))
+    assert dims == sorted(oracle_composition_series_dims(M))
+
+
 def _change_basis(A, P):
     """A on the basis f_i = sum_a P[a][i] a_a."""
     Pinv = P.inverse()
@@ -223,3 +254,26 @@ def test_simple_modules_computes_the_radical_once(A, monkeypatch):
     monkeypatch.setattr(structure, "_radical_trace_form", counted)
     simple_modules(A)
     assert calls == [A]
+
+
+SMALL_BUNDLED = sorted(name for name, A in bundled_algebras().items()
+                       if A.dim <= 4)
+
+
+@st.composite
+def rebased_bundled(draw):
+    """A bundled algebra of dimension <= 4 on a seeded dense basis."""
+    A = bundled_algebras()[draw(st.sampled_from(SMALL_BUNDLED))]
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    return _change_basis(A, _random_invertible(A.field, A.dim, rng))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(rebased_bundled())
+def test_simple_modules_fill_the_algebra_for_every_seed(A):
+    shapes = []
+    for seed in (0, 1, 2):
+        entries = simple_modules(A, seed=seed).entries
+        assert sum(mult * S.dim for S, mult in entries) == A.dim
+        shapes.append(sorted((S.dim, mult) for S, mult in entries))
+    assert shapes[0] == shapes[1] == shapes[2]
