@@ -169,11 +169,11 @@ def criterion_chain(seed=0):
     return True, f"{decisive} decisive towers out of {len(cases)}, all in agreement"
 
 
-def criterion_oracle_compare(seed=0, count_per_prime=25):
+def criterion_oracle_compare(seed=0):
     """Composition-factor dimensions match the exhaustive oracle, seed-stably."""
     total = 0
     for p in (2, 3):
-        for M in corpus.random_modules(p, count_per_prime, seed):
+        for M in corpus.random_modules(p, 25, seed):
             oracle_dims = sorted(oracle_composition_series_dims(M))
             runs = []
             for s in (seed, seed + 1, seed + 2):

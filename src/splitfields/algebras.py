@@ -217,7 +217,7 @@ def matrix_algebra(n, F):
     return Algebra(F, dim, labels, constants, unit)
 
 
-def group_algebra(mult_table, F, labels=None):
+def group_algebra(mult_table, F):
     """The group algebra F[G] from an n x n multiplication table of indices."""
     n = len(mult_table)
     if any(len(r) != n for r in mult_table):
@@ -249,8 +249,7 @@ def group_algebra(mult_table, F, labels=None):
             constants[i][j][mult_table[i][j]] = one
     unit = [zero] * n
     unit[identity] = one
-    labels = labels or [f"g{i}" for i in range(n)]
-    return Algebra(F, n, labels, constants, unit)
+    return Algebra(F, n, [f"g{i}" for i in range(n)], constants, unit)
 
 
 def cyclic_group_algebra(n, F):

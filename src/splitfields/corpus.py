@@ -128,8 +128,8 @@ def _random_submodule(M, rng):
     return None
 
 
-def random_modules(p, count, seed, max_dim=6):
-    """``count`` seeded modules over F_p with dimension <= max_dim.
+def random_modules(p, count, seed):
+    """``count`` seeded modules over F_p with dimension <= 6.
 
     Built by twisting regular modules: conjugation, passing to a spun
     sub or quotient, and direct sums of small pieces.
@@ -146,16 +146,14 @@ def random_modules(p, count, seed, max_dim=6):
             if basis is not None:
                 sq = sub_quotient(M, basis)
                 M = sq.sub if rng.randrange(2) else sq.quot
-        elif move == 2 and 2 * M.dim <= max_dim:
+        elif move == 2 and 2 * M.dim <= 6:
             M = direct_sum(M, M)
         elif move == 3:
             basis = _random_submodule(M, rng)
             if basis is not None:
                 piece = sub_quotient(M, basis).sub
-                if piece.dim + M.dim <= max_dim:
+                if piece.dim + M.dim <= 6:
                     M = direct_sum(piece, M)
-        if M.dim > max_dim:
-            continue
         M = conjugate(M, _random_invertible(F, M.dim, rng))
         out.append(M)
     return out

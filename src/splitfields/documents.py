@@ -6,7 +6,8 @@ field is a bare scalar; an element of an extension is the little-endian list
 of its coordinates over the prime base.  Serialization is round-trip stable:
 the parser takes a rational string only in the form the writer produces
 (lowest terms, no sign on zero, no leading zeros), and it rejects unknown
-keys.
+keys.  Every algebra and module document is validated as it is parsed
+(``algebra_validate``, ``module_validate``); there is no way to skip it.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def algebra_out(A):
     return document("algebra", payload)
 
 
-def algebra_in(doc, validate=True):
+def algebra_in(doc):
     payload = doc["payload"]
     _check_keys(payload, ("field", "labels", "constants", "unit"), "algebra payload")
     F = field_in(document("field", payload["field"]))
@@ -191,10 +192,9 @@ def algebra_in(doc, validate=True):
         raise InputError(f"unit must hold exactly {dim} coordinates")
     unit = tuple(element_in(c, F, "unit") for c in unit)
     A = Algebra(F, dim, tuple(labels), consts, unit)
-    if validate:
-        report = algebra_validate(A)
-        if report is not None:
-            raise InputError(f"invalid algebra: {report}")
+    report = algebra_validate(A)
+    if report is not None:
+        raise InputError(f"invalid algebra: {report}")
     return A
 
 
@@ -208,10 +208,10 @@ def module_out(M):
     return document("module", payload)
 
 
-def module_in(doc, validate=True):
+def module_in(doc):
     payload = doc["payload"]
     _check_keys(payload, ("algebra", "dim", "actions"), "module payload")
-    A = algebra_in(document("algebra", payload["algebra"]), validate=validate)
+    A = algebra_in(document("algebra", payload["algebra"]))
     dim = payload["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise InputError("module dim must be a non-negative integer")
@@ -227,23 +227,22 @@ def module_in(doc, validate=True):
                            [[element_in(e, A.field, f"action {idx}") for e in row]
                             for row in rows]))
     M = Module(A, dim, tuple(mats))
-    if validate:
-        report = module_validate(M)
-        if report is not None:
-            raise InputError(f"invalid module: {report}")
+    report = module_validate(M)
+    if report is not None:
+        raise InputError(f"invalid module: {report}")
     return M
 
 
-def parse_any(text, validate=True):
+def parse_any(text):
     """(kind, object) for a field, algebra or module document."""
     doc = loads(text)
     kind = doc["kind"]
     if kind == "field":
         return kind, field_in(doc)
     if kind == "algebra":
-        return kind, algebra_in(doc, validate=validate)
+        return kind, algebra_in(doc)
     if kind == "module":
-        return kind, module_in(doc, validate=validate)
+        return kind, module_in(doc)
     raise InputError("expected a field, algebra or module document")
 
 

@@ -48,13 +48,21 @@ class FieldDescriptor:
 
     ``modulus`` is the monic irreducible defining polynomial over the prime
     base, little-endian, or ``None`` when the degree is 1.  Only the
-    constructors below make descriptors: a copy would be another field.
+    constructors below make descriptors, and copies and pickles go back
+    through them.
     """
 
     kind: str
     characteristic: int
     modulus: tuple | None
     degree: int
+
+    def __reduce__(self):
+        if self.modulus is not None:
+            return _extension, (self.characteristic, self.modulus)
+        if self.characteristic:
+            return prime_field, (self.characteristic,)
+        return rationals, ()
 
     # -- constructors for elements --------------------------------------
 
@@ -193,30 +201,25 @@ def finite_field_of_degree(p, m):
 # elements
 # ---------------------------------------------------------------------------
 
-_REDUCTION_CACHE = {}
-
-
+@cache
 def _reduction_rows(field):
     """Coordinates of x^k mod modulus for k = degree .. 2*degree-2."""
-    rows = _REDUCTION_CACHE.get(field)
-    if rows is None:
-        d = field.degree
-        mod = field.modulus
-        p = field.characteristic
-        cur = [(-c) % p if p else -c for c in mod[:d]]
-        rows = [tuple(cur)]
-        for _ in range(d - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(d):
-                    nxt[j] -= top * mod[j]
-            if p:
-                nxt = [c % p for c in nxt]
-            rows.append(tuple(nxt))
-            cur = nxt
-        _REDUCTION_CACHE[field] = rows
-    return rows
+    d = field.degree
+    mod = field.modulus
+    p = field.characteristic
+    cur = [(-c) % p if p else -c for c in mod[:d]]
+    rows = [tuple(cur)]
+    for _ in range(d - 2):
+        nxt = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            for j in range(d):
+                nxt[j] -= top * mod[j]
+        if p:
+            nxt = [c % p for c in nxt]
+        rows.append(tuple(nxt))
+        cur = nxt
+    return tuple(rows)
 
 
 class FieldElement:
@@ -333,7 +336,15 @@ class FieldElement:
 # embeddings
 # ---------------------------------------------------------------------------
 
-_EMB_POWERS = {}
+@cache
+def _powers(F, coords, n):
+    """1, g, ..., g^(n-1) for the g in F with these coordinates; keyed on
+    plain values, so that a lookup runs no Python-level hash or equality."""
+    g = FieldElement(F, coords)
+    pows = [F.one()]
+    for _ in range(n - 1):
+        pows.append(pows[-1] * g)
+    return tuple(pows)
 
 
 @dataclass(frozen=True)
@@ -359,20 +370,11 @@ class FieldEmbedding:
         elif self.generator_image != self.target.one():
             raise NoEmbedding("a degree-1 field embeds via 1 -> 1")
 
-    def _powers(self):
-        key = (self.source, self.target, self.generator_image.coords)
-        pows = _EMB_POWERS.get(key)
-        if pows is None:
-            pows = [self.target.one()]
-            for _ in range(self.source.degree - 1):
-                pows.append(pows[-1] * self.generator_image)
-            _EMB_POWERS[key] = pows
-        return pows
-
     def apply(self, a):
         if a.field is not self.source:
             raise FieldMismatch("element does not belong to the embedding source")
-        pows = self._powers()
+        pows = _powers(self.target, self.generator_image.coords,
+                       self.source.degree)
         out = self.target.zero()
         for c, g in zip(a.coords, pows):
             if c:
@@ -429,7 +431,8 @@ def embedding_preimage(emb, elem):
     if elem.field is not emb.target:
         raise FieldMismatch("element does not belong to the embedding target")
     base = _prime_base(emb.target)
-    in_powers = coordinates(base, [_base_coords(g, base) for g in emb._powers()])
+    pows = _powers(emb.target, emb.generator_image.coords, emb.source.degree)
+    in_powers = coordinates(base, [_base_coords(g, base) for g in pows])
     coeffs = in_powers(_base_coords(elem, base))
     if coeffs is None:
         return None
@@ -489,18 +492,12 @@ def _multiplication_rows(a):
 
 def _closure_span(F, gens):
     """Dimension over the prime base of the subfield generated by ``gens``."""
-    from .linalg import Echelon
+    from .linalg import Matrix, closure
 
     base = _prime_base(F)
-    span = Echelon(base)
-    todo = [e for e in [F.one()] + list(gens) if span.insert(_base_coords(e, base))]
-    while todo:
-        b = todo.pop()
-        for g in gens:
-            prod_ = b * g
-            if span.insert(_base_coords(prod_, base)):
-                todo.append(prod_)
-    return len(span)
+    mats = [Matrix.from_rows(base, _multiplication_rows(g)).transpose()
+            for g in gens]
+    return len(closure(base, mats, [_base_coords(F.one(), base)]))
 
 
 def subfield_generated(F, gens):

@@ -22,6 +22,7 @@ elements.
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cache
 from operator import mul
 
 from .errors import DimensionMismatch, FieldMismatch, NotSquare
@@ -64,10 +65,6 @@ class Matrix:
 
     # -- basic access -----------------------------------------------------
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i):
         return self.entries[i]
 
@@ -77,9 +74,6 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.field == other.field \
             and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.field, self.entries))
 
     def key(self):
         """Canonical hashable key: the shape and the flat row-major coordinates."""
@@ -106,16 +100,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols,
                       [[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._compat(other, True)
-        return Matrix(self.field, self.rows, self.cols,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols,
-                      [[-a for a in r] for r in self.entries])
 
     def scale(self, c):
         return Matrix(self.field, self.rows, self.cols,
@@ -195,20 +179,6 @@ class Matrix:
     def kernel_basis(self):
         """Canonical basis of the right null space, as coordinate tuples."""
         return Echelon(self.field, self.entries).kernel(self.cols)
-
-    def solve(self, b):
-        """One particular solution of ``self @ x = b`` or None."""
-        if len(b) != self.rows:
-            raise DimensionMismatch("right-hand side length does not match rows")
-        rhs = Matrix(self.field, self.rows, 1, [[e] for e in b])
-        red, rank, pivots = self.augment(rhs).rref()
-        if self.cols in pivots:
-            return None
-        zero = self.field.zero()
-        x = [zero] * self.cols
-        for i, pc in enumerate(pivots):
-            x[pc] = red.entries[i][self.cols]
-        return tuple(x)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -344,24 +314,21 @@ class Echelon:
 # Every kernel offers the same few operations on codes: ``encode`` and
 # ``decode`` a vector, ``rows`` of a matrix, ``apply`` such rows to a vector,
 # ``eliminate(a, c, b)`` = a - c b, ``normalize(v, pc)`` = v / v[pc], and the
-# scalars ``zero``, ``one``, ``neg`` and ``sub``.  A zero code is falsy.
+# scalars ``zero``, ``one``, ``neg`` and ``sub``.  A zero code is falsy, and
+# ``encode`` raises FieldMismatch on an element of another field.
 
 _TABLE_BOUND = 256   # largest GF(p^k) given arithmetic tables, as in the MeatAxe
-_KERNELS = {}        # field -> its scalar kernel, built at first use
 
 
+@cache
 def _arithmetic(field):
-    """The scalar kernel of ``field``: residues for GF(p), tables for GF(p^k)
-    with q <= 256, field elements in characteristic 0 and for larger q."""
-    kernel = _KERNELS.get(field)
-    if kernel is None:
-        if not field.characteristic or \
-                (field.degree > 1 and field.order > _TABLE_BOUND):
-            kind = _Elements
-        else:
-            kind = _Residues if field.degree == 1 else _Tables
-        kernel = _KERNELS[field] = kind(field)
-    return kernel
+    """The scalar kernel of ``field``, built at first use: residues for GF(p),
+    tables for GF(p^k) with q <= 256, field elements in characteristic 0 and
+    for larger q."""
+    if not field.characteristic or \
+            (field.degree > 1 and field.order > _TABLE_BOUND):
+        return _Elements(field)
+    return _Residues(field) if field.degree == 1 else _Tables(field)
 
 
 def _foreign(field):
@@ -371,15 +338,17 @@ def _foreign(field):
 class _Elements:
     """Field elements as their own codes: characteristic 0 and GF(q), q > 256."""
 
-    __slots__ = ("zero", "one")
+    __slots__ = ("field", "zero", "one")
 
     def __init__(self, field):
+        self.field = field
         self.zero, self.one = field.zero(), field.one()
 
     def encode(self, vec):
-        return list(vec)
+        F = self.field
+        return [e if e.field is F else _foreign(F) for e in vec]
 
-    decode = encode
+    decode = staticmethod(list)
 
     def rows(self, m):
         return m.entries

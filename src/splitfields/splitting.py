@@ -28,9 +28,15 @@ from .fields import (
     embedding_preimage,
     identity_embedding,
 )
-from .linalg import Echelon, Matrix, row_space_basis
+from .linalg import Echelon, row_space_basis
 from .modules import hom_space
-from .structure import composition_factors, radical, simple_modules
+from .structure import (
+    _is_scalar_matrix,
+    _radical_submodule,
+    composition_factors,
+    radical,
+    simple_modules,
+)
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,11 @@ def find_splitting_field(A, max_degree=None, seed=0):
                                         emb_total, degree, iterations, report)
         entry = next(e for e in report.per_simple if not e.absolutely_simple)
         S = entry.module
-        f = _first_non_scalar(hom_space(S, S).mats, current.field, S.dim)
+        f = next((f for f in hom_space(S, S).mats if not _is_scalar_matrix(f)),
+                 None)
+        if f is None:  # pragma: no cover - a failing simple has dim End > 1
+            raise InternalInvariantError(
+                "no non-scalar endomorphism on a failing simple")
         minp = f.min_poly()
         factors = [g for g, _ in polys.factor(minp, current.field)
                    if polys.degree(g) > 1]
@@ -141,15 +151,6 @@ def find_splitting_field(A, max_degree=None, seed=0):
         current = extend_algebra(current, step).extended
         degree *= step_degree
         iterations += 1
-
-
-def _first_non_scalar(mats, field, dim):
-    identity = Matrix.identity(field, dim)
-    for f in mats:
-        c = f.entries[0][0]
-        if f != identity.scale(c):
-            return f
-    raise InternalInvariantError("no non-scalar endomorphism on a failing simple")
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +237,3 @@ def verify_split_radical(A, emb, seed=0):
     lhs_mod = row_space_basis(F, [[emb.apply(c) for c in row] for row in rad_U])
     return lhs_mod == rad_UF
 
-
-def _radical_submodule(M, rad_rows):
-    """Rad M = (Rad A) M as a canonical row basis."""
-    field = M.algebra.field
-    vecs = []
-    for r in rad_rows:
-        img = M.action_of(r)
-        vecs.extend(img.transpose().entries)
-    return row_space_basis(field, vecs)

@@ -194,14 +194,9 @@ def _find_proper_submodule(M, seed, rad):
     # characteristic 0: split off (Rad A) M first; what remains is semisimple
     semisimple_known = False
     if rad is not None:
-        if rad:
-            vecs = []
-            for r in rad:
-                img = M.action_of(r)
-                vecs.extend(img.transpose().entries)
-            found = _proper(M, spin(M, vecs))
-            if found:
-                return found
+        found = _proper(M, _radical_submodule(M, rad))
+        if found:
+            return found
         semisimple_known = True
 
     # cheap deterministic pass: spin the standard basis vectors
@@ -243,13 +238,12 @@ def _find_proper_submodule(M, seed, rad):
     hb = hom_space(M, M)
     if len(hb.mats) == 1 and semisimple_known:
         return None
-    scalars = Matrix.identity(field, M.dim)
     candidates = list(hb.mats)
     for _ in range(20):
         coeffs = [_random_scalar(field, rng) for _ in hb.mats]
         candidates.append(linear_combination(coeffs, hb.mats))
     for f in candidates:
-        if _is_scalar_matrix(f, scalars):
+        if _is_scalar_matrix(f):
             continue
         if not f.is_invertible():
             found = _proper(M, row_space_basis(field, f.kernel_basis()))
@@ -287,9 +281,18 @@ def _random_algebra_element(A, rng):
     return tuple(_random_scalar(field, rng) for _ in range(A.dim))
 
 
-def _is_scalar_matrix(f, identity):
-    c = f.entries[0][0]
-    return f == identity.scale(c)
+def _is_scalar_matrix(f):
+    """Whether the square matrix f is a scalar multiple of the identity."""
+    return f == Matrix.identity(f.field, f.rows).scale(f.entries[0][0])
+
+
+def _radical_submodule(M, rad):
+    """(Rad A) M as a canonical (RREF) row basis, ``rad`` a basis of Rad A:
+    the span of the images r m, a submodule already since Rad A is an ideal."""
+    vecs = []
+    for r in rad:
+        vecs.extend(M.action_of(r).transpose().entries)
+    return row_space_basis(M.algebra.field, vecs)
 
 
 def _division_certificate(field, mats, rng):

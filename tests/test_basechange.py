@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -23,10 +24,12 @@ from splitfields.fields import (
     FieldEmbedding,
     embed_find,
     finite_field_of_degree,
+    identity_embedding,
     number_field,
     prime_field,
     rationals,
 )
+from splitfields.linalg import Matrix
 from splitfields.modules import hom_space, module_validate
 from splitfields.structure import composition_factors
 
@@ -140,3 +143,41 @@ def test_write_in_round_trip():
     descent = write_in(ctx, M, EMB_F4)
     assert descent.module.algebra.field == F2
     assert descent.module.dim == M.dim
+
+
+def _seeded_basis(field, n, seed, emb):
+    """The rows of a seeded invertible n x n matrix over ``field``, mapped
+    into the target of ``emb``."""
+    rng = random.Random(seed)
+    while True:
+        P = Matrix(field, n, n, [[field.element([rng.randint(-2, 2)
+                                                 for _ in range(field.degree)])
+                                  for _ in range(n)] for _ in range(n)])
+        if P.is_invertible():
+            return [tuple(emb.apply(e) for e in row) for row in P.entries]
+
+
+@pytest.mark.parametrize("A, emb", [(cyclic_group_algebra(3, F2), EMB_F4),
+                                    (cyclic_group_algebra(4, Q), EMB_QI)])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_descent_witness_intertwines(A, emb, seed):
+    """The witness P is invertible and P a = b P for every action a of the
+    descended module extended back to F and the matching action b of V, on
+    the standard basis and on seeded bases over k (descending to k) and
+    over F (descending to F itself)."""
+    F = emb.target
+    ctx = extend_algebra(A, emb)
+    V = extend_module(A.regular_module(), ctx)
+    cases = [(emb, None)] if seed is None else \
+        [(emb, _seeded_basis(A.field, V.dim, seed, emb)),
+         (identity_embedding(F), _seeded_basis(F, V.dim, seed,
+                                               identity_embedding(F)))]
+    for emb_up, basis in cases:
+        descent = write_in(ctx, V, emb_up, basis=basis)
+        P = descent.witness
+        assert P.is_invertible()
+        back = extend_module(descent.module,
+                             extend_algebra(descent.module.algebra, emb_up))
+        assert back.algebra == V.algebra
+        for a, b in zip(back.actions, V.actions):
+            assert P @ a == b @ P

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from splitfields.fields import (
     rationals,
     subfield_generated,
 )
+from splitfields.linalg import Matrix
 
 
 def test_prime_field_arithmetic():
@@ -208,6 +211,15 @@ def test_equal_fields_are_one_object():
     assert number_field([Fraction(1), 0, Fraction(2, 2)]) is Qi
     for F in (rationals(), prime_field(3), F4, F9, Qi):
         assert documents.field_in(documents.field_out(F)) is F
+
+
+def test_copies_and_pickles_are_the_same_object():
+    F4 = finite_field_of_degree(2, 2)
+    for F in (rationals(), prime_field(2), number_field([1, 0, 1]), F4):
+        assert pickle.loads(pickle.dumps(F)) is F
+        assert copy.deepcopy(F) is F
+    M = Matrix.from_rows(F4, [[F4.generator(), F4.one()], [F4.zero(), F4.one()]])
+    assert copy.deepcopy(M) @ M == M @ M
 
 
 def test_derived_fields_are_the_constructors_objects():

@@ -29,6 +29,7 @@ from splitfields.modules import (
     spin,
     sub_quotient,
 )
+from test_scalar_kernels import reference_solve  # Gauss-Jordan apart from Echelon
 from test_structure import _change_basis  # A on a new basis
 
 Q = rationals()
@@ -174,9 +175,10 @@ def _end_constants_by_solve(hb_mats, dim):
     cols = [m.vec() for m in hb_mats]
     coord_mat = Matrix(field, dim * dim, d,
                        [[cols[j][i] for j in range(d)] for i in range(dim * dim)])
-    constants = [[coord_mat.solve(list((a @ b).vec())) for b in hb_mats]
+    constants = [[reference_solve(coord_mat, list((a @ b).vec())) for b in hb_mats]
                  for a in hb_mats]
-    return constants, coord_mat.solve(list(Matrix.identity(field, dim).vec()))
+    return constants, reference_solve(coord_mat,
+                                      list(Matrix.identity(field, dim).vec()))
 
 
 def _scalar_pool(field):

@@ -5,11 +5,14 @@ in per-field tables; every other field eliminates on ``FieldElement``s.  The
 tables are checked against field arithmetic on all pairs, and the coded
 ``Echelon``, ``closure``/``spin`` and ``intertwiners``/``hom_space`` against
 a textbook Gauss-Jordan elimination on field elements kept here (fixed
-examples, no random seed).
+examples, no random seed).  ``reference_solve`` on that elimination is the
+linear solver the other tests compare against; it shares no code with
+``Echelon``.  Every kernel rejects elements of another field.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitfields import linalg
@@ -17,7 +20,13 @@ from splitfields.algebras import (
     cyclic_group_algebra,
     upper_triangular_algebra,
 )
-from splitfields.fields import finite_field_of_degree, prime_field
+from splitfields.errors import FieldMismatch
+from splitfields.fields import (
+    finite_field_of_degree,
+    number_field,
+    prime_field,
+    rationals,
+)
 from splitfields.linalg import Echelon, Matrix, closure, intertwiners
 from splitfields.modules import conjugate, hom_space, spin, sub_quotient
 
@@ -34,6 +43,18 @@ def test_each_field_gets_its_kernel():
     kinds = [type(linalg._arithmetic(F)).__name__ for F in FIELDS]
     assert kinds == ["_Residues", "_Residues", "_Tables", "_Tables", "_Tables",
                      "_Residues", "_Elements"]
+
+
+def test_every_kernel_rejects_elements_of_another_field():
+    Qi = number_field([1, 0, 1])
+    F17 = prime_field(17)
+    for F, vec in ((rationals(), [Qi.generator(), Qi.one()]),
+                   (finite_field_of_degree(17, 2), [F17.one(), F17.from_base(3)]),
+                   (prime_field(2), [Qi.generator(), Qi.one()]),
+                   (finite_field_of_degree(2, 2), [F17.one(), F17.zero()])):
+        for use in (Echelon(F).insert, Echelon(F).contains, Echelon(F).reduce):
+            with pytest.raises(FieldMismatch):
+                use(vec)
 
 
 # -- tables: every entry against field arithmetic -----------------------------
@@ -73,6 +94,19 @@ def reference_rref(vectors, cols):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return [tuple(r) for r in rows[:len(pivots)]], pivots
+
+
+def reference_solve(m, b):
+    """One particular solution of ``m @ x = b``, or None: Gauss-Jordan on the
+    augmented rows (m | b), free variables set to zero."""
+    rows, pivots = reference_rref([tuple(r) + (c,) for r, c in zip(m.entries, b)],
+                                  m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [m.field.zero()] * m.cols
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[m.cols]
+    return tuple(x)
 
 
 def reference_reduce(rows, pivots, w):
