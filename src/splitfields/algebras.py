@@ -287,22 +287,14 @@ def quaternion_algebra(a, b, F):
 
 def field_algebra(F):
     """A finite extension field viewed as an algebra over its prime base."""
-    from .fields import prime_field, rationals
+    from .fields import _multiplication_rows, _prime_base
 
     if F.degree < 2:
         raise BadParams("the field is its own prime base")
-    base = prime_field(F.characteristic) if F.characteristic else rationals()
-    gen = F.generator()
-    pows = [F.one()]
-    for _ in range(F.degree - 1):
-        pows.append(pows[-1] * gen)
-    constants = []
-    for i in range(F.degree):
-        row = []
-        for j in range(F.degree):
-            prod_ = pows[i] * pows[j]
-            row.append([base.from_base(c) for c in prod_.coords])
-        constants.append(row)
+    base = _prime_base(F)
+    # t^i t^j is row j of the multiplication matrix of t^i
+    constants = [_multiplication_rows(F.element([0] * i + [1]))
+                 for i in range(F.degree)]
     unit = [base.one()] + [base.zero()] * (F.degree - 1)
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, F.degree)]
     return Algebra(base, F.degree, labels, constants, unit)

@@ -25,8 +25,6 @@ from .errors import (
 )
 from .fields import (
     FieldEmbedding,
-    compose_embeddings,
-    embed_find,
     embedding_preimage,
     subfield_generated,
 )
@@ -130,26 +128,12 @@ class Descent(NamedTuple):
 
 
 def _base_to_mid_embedding(ctx, emb_up):
-    k = ctx.emb.source
-    E = emb_up.source
-
-    def compatible(cand):
-        return compose_embeddings(cand, emb_up).generator_image == \
-            ctx.emb.generator_image
-
-    emb_base = embed_find(k, E)
-    if k.degree > 1 and not compatible(emb_base):
-        from .fields import poly_roots
-
-        mod = [E.from_base(c) for c in k.modulus]
-        for root in poly_roots(mod, E):
-            cand = FieldEmbedding(k, E, root)
-            if compatible(cand):
-                emb_base = cand
-                break
-    if not compatible(emb_base):
+    """The k -> E that commutes with E -> F: k's generator goes to the
+    preimage of its image in F, unique because E -> F is injective."""
+    image = embedding_preimage(emb_up, ctx.emb.generator_image)
+    if image is None:
         raise FieldMismatch("the tower k -> E -> F does not commute with k -> F")
-    return emb_base
+    return FieldEmbedding(ctx.emb.source, emb_up.source, image)
 
 
 def write_in(ctx, V, emb_up, basis=None):
@@ -169,10 +153,11 @@ def write_in(ctx, V, emb_up, basis=None):
         W = V
         P = Matrix.identity(F, V.dim)
     else:
-        P = Matrix(F, V.dim, len(basis),
-                   [[basis[j][i] for j in range(len(basis))]
-                    for i in range(V.dim)])
-        if len(basis) != V.dim or not P.is_invertible():
+        if len(basis) != V.dim or any(len(v) != V.dim for v in basis):
+            raise BadBasis(f"a basis of V is {V.dim} vectors of length {V.dim}")
+        P = Matrix(F, V.dim, V.dim,
+                   [[basis[j][i] for j in range(V.dim)] for i in range(V.dim)])
+        if not P.is_invertible():
             raise BadBasis("the supplied vectors are not an F-basis")
         W = conjugate(V, P)
     ctx_mid = extend_algebra(ctx.algebra, emb_base)

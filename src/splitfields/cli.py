@@ -174,7 +174,8 @@ def cmd_written_in(args):
     basis = None
     if args.basis:
         payload = json.loads(_read(args.basis))
-        if not isinstance(payload, list):
+        if not isinstance(payload, list) \
+                or not all(isinstance(row, list) for row in payload):
             raise InputError("a basis file holds a JSON list of vectors")
         field = ctx.emb.target
         basis = [tuple(docs.element_in(e, field, "basis") for e in row)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import (
     BadParams,
@@ -337,14 +336,28 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 @cache
-def _powers(F, coords, n):
-    """1, g, ..., g^(n-1) for the g in F with these coordinates; keyed on
-    plain values, so that a lookup runs no Python-level hash or equality."""
+def _image_rows(F, coords, n):
+    """Prime-base coordinates of 1, g, ..., g^(n-1) for the g in F with
+    these coordinates: the matrix of the embedding sending the source
+    generator to g.  Keyed on plain values, so that a lookup runs no
+    Python-level hash or equality."""
     g = FieldElement(F, coords)
-    pows = [F.one()]
+    power = F.one()
+    rows = [power.coords]
     for _ in range(n - 1):
-        pows.append(pows[-1] * g)
-    return tuple(pows)
+        power = power * g
+        rows.append(power.coords)
+    return tuple(rows)
+
+
+@cache
+def _image_coordinates(F, coords, n):
+    """The ``linalg.coordinates`` solver over the rows of ``_image_rows``."""
+    from .linalg import coordinates
+
+    base = _prime_base(F)
+    return coordinates(base, [[base.from_base(c) for c in row]
+                              for row in _image_rows(F, coords, n)])
 
 
 @dataclass(frozen=True)
@@ -361,11 +374,10 @@ class FieldEmbedding:
         if self.generator_image.field is not self.target:
             raise FieldMismatch("generator image must live in the target field")
         if self.source.degree > 1:
-            g = self.generator_image
-            acc = self.target.zero()
-            for c in reversed(self.source.modulus):
-                acc = acc * g + self.target.from_base(c)
-            if acc:
+            from .polys import eval_at
+
+            modulus = [self.target.from_base(c) for c in self.source.modulus]
+            if eval_at(modulus, self.generator_image):
                 raise NoEmbedding("generator image is not a root of the source modulus")
         elif self.generator_image != self.target.one():
             raise NoEmbedding("a degree-1 field embeds via 1 -> 1")
@@ -373,23 +385,17 @@ class FieldEmbedding:
     def apply(self, a):
         if a.field is not self.source:
             raise FieldMismatch("element does not belong to the embedding source")
-        pows = _powers(self.target, self.generator_image.coords,
-                       self.source.degree)
-        out = self.target.zero()
-        for c, g in zip(a.coords, pows):
+        rows = _image_rows(self.target, self.generator_image.coords,
+                           self.source.degree)
+        out = [0] * self.target.degree
+        for c, row in zip(a.coords, rows):
             if c:
-                out = out + _scalar_mul(c, g)
-        return out
+                for j, v in enumerate(row):
+                    out[j] += c * v
+        return self.target.element(out)
 
     def __repr__(self):
         return f"{self.source} -> {self.target} (gen -> {self.generator_image})"
-
-
-def _scalar_mul(c, elem):
-    p = elem.field.characteristic
-    if p:
-        return FieldElement(elem.field, tuple((c * x) % p for x in elem.coords))
-    return FieldElement(elem.field, tuple(c * x for x in elem.coords))
 
 
 def identity_embedding(F):
@@ -426,14 +432,11 @@ def embed_find(E, F):
 
 def embedding_preimage(emb, elem):
     """The unique preimage of ``elem`` under ``emb``, or None if not in the image."""
-    from .linalg import coordinates
-
     if elem.field is not emb.target:
         raise FieldMismatch("element does not belong to the embedding target")
-    base = _prime_base(emb.target)
-    pows = _powers(emb.target, emb.generator_image.coords, emb.source.degree)
-    in_powers = coordinates(base, [_base_coords(g, base) for g in pows])
-    coeffs = in_powers(_base_coords(elem, base))
+    in_image = _image_coordinates(emb.target, emb.generator_image.coords,
+                                  emb.source.degree)
+    coeffs = in_image(_base_coords(elem, _prime_base(emb.target)))
     if coeffs is None:
         return None
     return emb.source.element([c.coords[0] for c in coeffs])
@@ -503,16 +506,16 @@ def _closure_span(F, gens):
 def subfield_generated(F, gens):
     """Smallest subfield of F containing the prime base (or QQ) and ``gens``.
 
-    Returns ``(E, embedding E -> F)``.
+    Returns ``(E, embedding E -> F)``.  The dimension of E over the prime
+    base is its degree; a repeated generator is dropped, as it adds nothing.
     """
-    gens = [g for g in gens if g.field is F]
-    if F.characteristic:
-        m = 1
-        for g in gens:
-            m = lcm(m, element_degree(g))
-        E = finite_field_of_degree(F.characteristic, m)
-        return E, embed_find(E, F)
+    if any(g.field is not F for g in gens):
+        raise FieldMismatch(f"generators must be elements of {F}")
+    gens = list(dict.fromkeys(gens))
     dim = _closure_span(F, gens)
+    if F.characteristic:
+        E = finite_field_of_degree(F.characteristic, dim)
+        return E, embed_find(E, F)
     if dim == 1:
         E = rationals()
         return E, FieldEmbedding(E, F, F.one())
@@ -533,7 +536,7 @@ def _primitive_element(F, gens, dim):
         if element_degree(gamma) == pair_dim:
             continue
         for c in _multipliers():
-            cand = gamma + _scalar_mul(F._reduce_scalar(c), g)
+            cand = gamma + F.from_base(c) * g
             if element_degree(cand) == pair_dim:
                 gamma = cand
                 break
@@ -608,7 +611,7 @@ def _adjoin_root_number_field(E, g):
     alpha = [E.generator()]          # generator of E as a constant polynomial
     xbar = [E.zero(), E.one()]       # the adjoined root
     for c in _multipliers():
-        gamma = polys.add(xbar, [_scalar_mul(Fraction(c), E.generator())], E)
+        gamma = polys.add(xbar, [E.from_base(c) * E.generator()], E)
         minp = Matrix.from_rows(QQ, [coords(mul(u, gamma)) for u in units]).min_poly()
         if len(minp) <= len(units):
             continue

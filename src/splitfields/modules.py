@@ -217,7 +217,7 @@ _RANDOM_CAP = 200
 _EXHAUSTIVE_CAP = 1 << 16
 
 
-def is_isomorphic(M, N, seed=0, both_simple=False):
+def is_isomorphic(M, N, seed=0):
     """Search for an invertible intertwiner.
 
     Basis elements first, then seeded random small-coefficient combinations;
@@ -236,10 +236,6 @@ def is_isomorphic(M, N, seed=0, both_simple=False):
     for f in hb.mats:
         if f.is_invertible():
             return IsoResult(True, f)
-    if both_simple:
-        # Schur: a nonzero hom between simple modules is an isomorphism, so
-        # reaching this point means the basis elements are all zero (impossible)
-        return IsoResult(True, hb.mats[0])
     field = M.algebra.field
     d = len(hb.mats)
     if field.characteristic and field.order ** d <= _EXHAUSTIVE_CAP:

@@ -171,14 +171,14 @@ def _sympy_field(F):
     import sympy
 
     if F.kind == RATIONALS:
-        return sympy.QQ, None
+        return sympy.QQ
     x = sympy.Symbol("x")
     den = 1
     for c in F.modulus:
         den = den * c.denominator // _int_gcd(den, c.denominator)
     int_poly = sum(int(c * den) * x ** i for i, c in enumerate(F.modulus))
     alpha = sympy.CRootOf(sympy.Poly(int_poly, x), 0)
-    return sympy.QQ.algebraic_field(alpha), alpha
+    return sympy.QQ.algebraic_field(alpha)
 
 
 def _to_sympy_rat(c):
@@ -191,7 +191,7 @@ def _factor_char0(f, F):
     import sympy
 
     x = sympy.Symbol("x")
-    K, _alpha = _sympy_field(F)
+    K = _sympy_field(F)
     if F.kind == RATIONALS:
         poly = sympy.Poly([_to_sympy_rat(c.coords[0]) for c in reversed(f)],
                           x, domain=K)

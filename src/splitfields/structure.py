@@ -27,7 +27,6 @@ from .modules import (
     Module,
     _random_scalar,
     hom_space,
-    is_isomorphic,
     spin,
     sub_quotient,
 )
@@ -145,7 +144,7 @@ def composition_factors(M, seed=0):
     grouped = []
     for S in leaves:
         for entry in grouped:
-            if _same_simple(entry[0], S, seed):
+            if _same_simple(entry[0], S):
                 entry[1] += 1
                 break
         else:
@@ -154,11 +153,9 @@ def composition_factors(M, seed=0):
     return [(S, mult) for S, mult in grouped]
 
 
-def _same_simple(S, T, seed):
-    if S.dim != T.dim:
-        return False
-    res = is_isomorphic(S, T, seed=seed, both_simple=True)
-    return bool(res.isomorphic)
+def _same_simple(S, T):
+    # Schur: a nonzero hom between simple modules is an isomorphism
+    return S.dim == T.dim and bool(hom_space(S, T).mats)
 
 
 def _split(M, seed, rad, leaves):

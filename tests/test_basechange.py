@@ -22,6 +22,7 @@ from splitfields.corpus import bundled_algebras
 from splitfields.errors import NotOverE
 from splitfields.fields import (
     FieldEmbedding,
+    compose_embeddings,
     embed_find,
     finite_field_of_degree,
     identity_embedding,
@@ -134,6 +135,21 @@ def test_write_in_rejects_wrong_subfield():
              if descend_module(ctx, S).subfield.degree == 2)
     with pytest.raises(NotOverE):
         write_in(ctx, V, embed_find(F2, F16))
+
+
+def test_write_in_through_a_frobenius_tower():
+    """k = F_4, E = F = F_16 and E -> F the Frobenius t -> t^2: the k -> E
+    that commutes with the tower is not embed_find's least root."""
+    F16 = finite_field_of_degree(2, 4)
+    frobenius = FieldEmbedding(F16, F16, F16.generator() * F16.generator())
+    ctx = extend_algebra(cyclic_group_algebra(3, F4), embed_find(F4, F16))
+    assert ctx.emb.generator_image == F16.element([0, 1, 0, 1])
+    for V, _ in composition_factors(ctx.extended.regular_module()):
+        descent = write_in(ctx, V, frobenius)
+        assert descent.emb_base.generator_image == F16.element([1, 1, 0, 1])
+        assert compose_embeddings(descent.emb_base, frobenius) == ctx.emb
+        back = extend_algebra(descent.module.algebra, frobenius)
+        assert extend_module(descent.module, back) == V
 
 
 def test_write_in_round_trip():

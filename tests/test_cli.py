@@ -114,6 +114,29 @@ def test_descend_and_written_in(tmp_path, capsys):
     assert code == 0 and doc["payload"]["writable"] is True
 
 
+IDENTITY_F4 = [[[1, 0] if i == j else [0, 0] for j in range(4)]
+               for i in range(4)]
+
+
+@pytest.mark.parametrize("rows", [
+    [1, 2, 3, 4],                                  # rows that are not vectors
+    [row[:3] for row in IDENTITY_F4],              # shorter than dim V
+    [row + [[0, 0]] for row in IDENTITY_F4],       # longer than dim V
+])
+def test_written_in_rejects_a_malformed_basis(tmp_path, capsys, rows):
+    F4 = finite_field_of_degree(2, 2)
+    A = bundled_algebras()["mat2_F2"]
+    V = extend_algebra(A, embed_find(prime_field(2), F4)).extended.regular_module()
+    module = tmp_path / "module.json"
+    module.write_text(docs.dumps(docs.module_out(V)))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(rows))
+    code = main(["written-in", str(module), "--algebra", f"{DATA}/mat2_F2.json",
+                 "--subfield", f"{DATA}/field_F4.json", "--basis", str(basis)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_chain_verify(capsys):
     code, doc = run(capsys, "chain-verify", f"{DATA}/cyclic3_F2.json",
                     "--mid", f"{DATA}/field_F4.json",

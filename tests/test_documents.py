@@ -151,7 +151,7 @@ def seeded_objects(draw):
     return parts.sub if part == "sub" else parts.quot
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(seeded_objects())
 def test_documents_round_trip_byte_for_byte(obj):
     out = docs.algebra_out if hasattr(obj, "constants") else docs.module_out

@@ -1,16 +1,19 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitfields import documents, polys
-from splitfields.errors import BadParams, NoEmbedding
+from splitfields.corpus import bundled_embeddings, eisenstein_rationals
+from splitfields.errors import BadParams, FieldMismatch, NoEmbedding
 from splitfields.fields import (
     FieldEmbedding,
     adjoin_root,
     compose_embeddings,
+    element_degree,
     element_min_poly,
     embed_find,
     embedding_preimage,
@@ -148,6 +151,73 @@ def test_subfield_generated_char0():
     assert emb.apply(emb.source.generator()) in (i, -i)
 
 
+def test_subfield_generated_rejects_elements_of_another_field():
+    F4, F16 = finite_field_of_degree(2, 2), finite_field_of_degree(2, 4)
+    with pytest.raises(FieldMismatch):
+        subfield_generated(F16, [F4.generator()])
+    with pytest.raises(FieldMismatch):
+        subfield_generated(number_field([1, 0, 1]),
+                           [eisenstein_rationals().generator()])
+
+
+# -- property tests of generated subfields and preimages (fixed examples) ----
+
+F4, F9, F16 = (finite_field_of_degree(p, m) for p, m in ((2, 2), (3, 2), (2, 4)))
+F64, F81 = finite_field_of_degree(2, 6), finite_field_of_degree(3, 4)
+QI, QZ = number_field([1, 0, 1]), eisenstein_rationals()
+SUBFIELD_FIELDS = (F9, F16, F64, F81, QI, QZ)
+
+
+def _embeddings():
+    """The bundled embeddings, maps out of their targets, and the composites."""
+    bundled = list(bundled_embeddings().values())
+    ups = [embed_find(F4, F16), embed_find(F4, F64), embed_find(F9, F81),
+           FieldEmbedding(F16, F16, F16.generator() ** 2),     # Frobenius
+           FieldEmbedding(QI, QI, -QI.generator()),            # conjugation
+           adjoin_root(QZ, [QZ.from_base(-2), QZ.zero(), QZ.one()])[1]]
+    return bundled + ups + [compose_embeddings(b, u) for b in bundled
+                            for u in ups if b.target is u.source]
+
+
+EMBEDDINGS = _embeddings()
+
+
+def elements_of(F):
+    if F.characteristic:
+        coord = st.integers(0, F.characteristic - 1)
+    else:
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    return st.lists(coord, min_size=F.degree, max_size=F.degree).map(F.element)
+
+
+@st.composite
+def element_lists(draw):
+    F = draw(st.sampled_from(SUBFIELD_FIELDS))
+    return F, draw(st.lists(elements_of(F), max_size=4))
+
+
+@settings(max_examples=60)
+@given(element_lists())
+def test_subfield_generated_has_the_degree_of_its_generators(case):
+    F, gens = case
+    E, emb = subfield_generated(F, gens)
+    # in a finite field, and in a quadratic one, the generated subfield has
+    # the lcm of the generators' degrees as its degree
+    assert E.degree == lcm(1, *(element_degree(g) for g in gens))
+    assert emb.target is F
+    for g in gens:
+        a = embedding_preimage(emb, g)
+        assert a is not None and emb.apply(a) == g
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_preimage_inverts_apply(data):
+    emb = data.draw(st.sampled_from(EMBEDDINGS))
+    a = data.draw(elements_of(emb.source))
+    assert embedding_preimage(emb, emb.apply(a)) == a
+
+
 def test_adjoin_root_over_rationals():
     Q = rationals()
     g = [Q.element([1]), Q.element([1]), Q.one()]  # x^2 + x + 1
@@ -188,7 +258,7 @@ def nonzero_elements(draw):
     return a
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(nonzero_elements())
 def test_inverse_is_a_two_sided_inverse(a):
     inv = a.inverse()

@@ -86,9 +86,6 @@ def test_row_space_membership():
 
 # -- property tests of the echelon basis (fixed examples, no random seed) ----
 
-DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=60)
-
 FIELDS = (prime_field(2), prime_field(3), finite_field_of_degree(2, 2), Q)
 RATIONALS = [Fraction(c) for c in (0, 0, 1, -1, 2)] + [Fraction(1, 2)]
 
@@ -126,7 +123,7 @@ def _min_poly_by_solve(X):
         powers.append(nxt)
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(vectors())
 def test_echelon_basis_is_the_rref(case):
     field, vs = case
@@ -135,7 +132,7 @@ def test_echelon_basis_is_the_rref(case):
     assert Echelon(field, reversed(vs)).basis() == [red.row(i) for i in range(rank)]
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(vectors(), st.data())
 def test_echelon_contains_agrees_with_solve(case, data):
     field, vs = case
@@ -149,7 +146,7 @@ def test_echelon_contains_agrees_with_solve(case, data):
     assert Echelon(field, vs).contains(w) == expected
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(vectors(), st.data())
 def test_coordinates_agree_with_solve(case, data):
     field, vs = case
@@ -168,7 +165,7 @@ def test_coordinates_agree_with_solve(case, data):
         assert _columns(field, vs).apply(coeffs) == w
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(vectors(square=True))
 def test_min_poly_is_the_monic_annihilator(case):
     field, rows = case

@@ -122,9 +122,6 @@ def test_isomorphism_with_witness_conjugate():
 # -- property tests: generators against every basis element -------------------
 # (fixed examples, no random seed)
 
-DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=60)
-
 FIELDS = (prime_field(2), prime_field(3), finite_field_of_degree(2, 2), Q)
 FIELD_SQUARES = {F: finite_field_of_degree(F.characteristic, 2 * F.degree)
                  for F in FIELDS[:3]}
@@ -247,7 +244,7 @@ def module_pairs(draw):
     return B, M, N, rng
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(rebased_algebras())
 def test_generators_close_to_the_whole_algebra(case):
     _, _, A, _ = case
@@ -262,7 +259,7 @@ def test_generators_close_to_the_whole_algebra(case):
         assert ext._generators() == gens
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(module_pairs())
 def test_hom_space_equals_the_stacked_system(case):
     B, M, N, _ = case
@@ -271,7 +268,7 @@ def test_hom_space_equals_the_stacked_system(case):
     assert hom_space(N, M).mats == _hom_space_stacked(N, M)
 
 
-@DERANDOMIZED
+@settings(max_examples=60)
 @given(module_pairs())
 def test_spin_equals_the_all_actions_spin(case):
     B, M, _, rng = case
@@ -281,7 +278,7 @@ def test_spin_equals_the_all_actions_spin(case):
         assert spin(M, seeds) == _spin_by(M.actions, B.field, seeds)
 
 
-@settings(DERANDOMIZED, max_examples=30)
+@settings(max_examples=30)
 @given(module_pairs())
 def test_end_algebra_equals_solving_each_product(case):
     B, M, _, _ = case

@@ -30,9 +30,6 @@ from splitfields.fields import (
 from splitfields.linalg import Echelon, Matrix, closure, intertwiners
 from splitfields.modules import conjugate, hom_space, spin, sub_quotient
 
-DERANDOMIZED = settings(derandomize=True, database=None, deadline=None,
-                        max_examples=70)
-
 P61 = (1 << 61) - 1
 FIELDS = (prime_field(2), prime_field(3), finite_field_of_degree(2, 2),
           finite_field_of_degree(3, 2), finite_field_of_degree(2, 4),
@@ -185,7 +182,7 @@ def spans(draw):
     return field, cols, vecs, probe
 
 
-@DERANDOMIZED
+@settings(max_examples=70)
 @given(spans())
 def test_echelon_matches_the_reference(case):
     field, cols, vecs, probe = case
@@ -204,7 +201,7 @@ def test_echelon_matches_the_reference(case):
     assert span.basis() == reference_rref(vecs + [probe], cols)[0]
 
 
-@DERANDOMIZED
+@settings(max_examples=70)
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
 def test_closure_matches_the_reference(field, n, data):
     mats = [matrix(data, field, n, n) for _ in range(data.draw(st.integers(0, 2)))]
@@ -215,7 +212,7 @@ def test_closure_matches_the_reference(field, n, data):
         reference_closure(field, mats, seeds, n)
 
 
-@DERANDOMIZED
+@settings(max_examples=70)
 @given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_intertwiners_match_the_reference(field, n, m, data):
     pairs = []
@@ -261,7 +258,7 @@ def modules(draw):
             return conjugate(M, P)
 
 
-@DERANDOMIZED
+@settings(max_examples=70)
 @given(modules(), st.data())
 def test_spin_and_hom_space_match_the_reference(M, data):
     field = M.algebra.field

@@ -161,7 +161,7 @@ def oracle_modules(draw):
             return conjugate(M, P)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(oracle_modules())
 def test_composition_factors_agree_with_the_oracle(M):
     factors = composition_factors(M)
@@ -189,7 +189,7 @@ def modules_with_subs(draw):
     return M, rng.choice(proper) if proper else subs[0]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(modules_with_subs())
 def test_sub_quotient_splits_the_oracle_series(case):
     M, basis = case
@@ -268,7 +268,7 @@ def rebased_bundled(draw):
     return _change_basis(A, _random_invertible(A.field, A.dim, rng))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(rebased_bundled())
 def test_simple_modules_fill_the_algebra_for_every_seed(A):
     shapes = []
