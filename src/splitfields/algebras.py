@@ -197,23 +197,25 @@ def matrix_algebra(n, F):
     """M_n(F) on the matrix-unit basis e_ab (row-major order)."""
     if n < 1:
         raise BadParams("n must be >= 1")
-    dim = n * n
+    return _matrix_unit_algebra(n, F, [(a, b) for a in range(n)
+                                       for b in range(n)])
+
+
+def _matrix_unit_algebra(n, F, pairs):
+    """The span of the n x n matrix units e_ab for the index pairs (a, b),
+    on that basis: e_ab e_cd = e_ad when b == c, and 0 otherwise."""
+    index = {p: i for i, p in enumerate(pairs)}
+    dim = len(pairs)
     zero, one = F.zero(), F.one()
-
-    def idx(a, b):
-        return a * n + b
-
     constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b == c:
-                        constants[idx(a, b)][idx(c, d)][idx(a, d)] = one
+    for (a, b), i in index.items():
+        for (c, d), j in index.items():
+            if b == c:
+                constants[i][j][index[(a, d)]] = one
     unit = [zero] * dim
     for a in range(n):
-        unit[idx(a, a)] = one
-    labels = [f"e{a + 1}{b + 1}" for a in range(n) for b in range(n)]
+        unit[index[(a, a)]] = one
+    labels = [f"e{a + 1}{b + 1}" for (a, b) in pairs]
     return Algebra(F, dim, labels, constants, unit)
 
 
@@ -311,20 +313,8 @@ def diagonal_algebra(n, F):
 
 def upper_triangular_algebra(n, F):
     """Upper-triangular n x n matrices on the matrix-unit basis."""
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    dim = len(pairs)
-    zero, one = F.zero(), F.one()
-    constants = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for (a, b), i in index.items():
-        for (c, d), j in index.items():
-            if b == c:
-                constants[i][j][index[(a, d)]] = one
-    unit = [zero] * dim
-    for a in range(n):
-        unit[index[(a, a)]] = one
-    labels = [f"e{a + 1}{b + 1}" for (a, b) in pairs]
-    return Algebra(F, dim, labels, constants, unit)
+    return _matrix_unit_algebra(n, F, [(a, b) for a in range(n)
+                                       for b in range(a, n)])
 
 
 # ---------------------------------------------------------------------------

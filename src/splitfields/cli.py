@@ -183,11 +183,15 @@ def cmd_written_in(args):
     try:
         descent = write_in(ctx, V, emb_up, basis=basis)
     except NotOverE as exc:
-        _emit(docs.report_out("written-in", {"writable": False,
-                                             "reason": str(exc)}))
+        _emit(docs.report_out("written-in", {
+            "writable": False,
+            "embedding": docs.embedding_out(emb_up),
+            "reason": str(exc),
+        }))
         return EXIT_FALSE
     _emit(docs.report_out("written-in", {
         "writable": True,
+        "embedding": docs.embedding_out(emb_up),
         "module": docs.module_out(descent.module)["payload"],
     }))
     return EXIT_TRUE

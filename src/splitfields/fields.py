@@ -467,10 +467,7 @@ def poly_roots(coeffs, F):
 
 def element_min_poly(a):
     """Monic minimal polynomial of ``a`` over the prime base, as base scalars."""
-    from .linalg import Matrix
-
-    mult = Matrix.from_rows(_prime_base(a.field), _multiplication_rows(a))
-    return [c.coords[0] for c in mult.min_poly()]
+    return [c.coords[0] for c in _multiplication_matrix(a).min_poly()]
 
 
 def element_degree(a):
@@ -493,13 +490,19 @@ def _multiplication_rows(a):
             for j in range(F.degree)]
 
 
+def _multiplication_matrix(a):
+    """``_multiplication_rows`` as a Matrix over the prime base."""
+    from .linalg import Matrix
+
+    return Matrix.from_rows(_prime_base(a.field), _multiplication_rows(a))
+
+
 def _closure_span(F, gens):
     """Dimension over the prime base of the subfield generated by ``gens``."""
-    from .linalg import Matrix, closure
+    from .linalg import closure
 
     base = _prime_base(F)
-    mats = [Matrix.from_rows(base, _multiplication_rows(g)).transpose()
-            for g in gens]
+    mats = [_multiplication_matrix(g).transpose() for g in gens]
     return len(closure(base, mats, [_base_coords(F.one(), base)]))
 
 
@@ -535,23 +538,24 @@ def _primitive_element(F, gens, dim):
         pair_dim = _closure_span(F, [gamma, g])
         if element_degree(gamma) == pair_dim:
             continue
-        for c in _multipliers():
-            cand = gamma + F.from_base(c) * g
-            if element_degree(cand) == pair_dim:
-                gamma = cand
-                break
-        else:
-            raise PrimitiveElementError(
-                "no primitive element with multipliers up to +-20")
+        c, _ = _primitive_multiplier(_multiplication_matrix(gamma),
+                                     _multiplication_matrix(g), pair_dim)
+        gamma = gamma + F.from_base(c) * g
     if element_degree(gamma) != dim:
         raise PrimitiveElementError("primitive element search failed")
     return gamma
 
 
-def _multipliers():
-    for c in range(1, 21):
-        yield c
-        yield -c
+def _primitive_multiplier(a, b, degree):
+    """The first c of 1, -1, 2, -2, ..., 20, -20 at which the minimal
+    polynomial of the square matrix a + c*b has the given degree, and that
+    polynomial.  Multiplication is linear in the element, so on the
+    multiplication matrices of x and y this finds a primitive x + c*y."""
+    for c in (s * m for m in range(1, 21) for s in (1, -1)):
+        minp = (a + b.scale(a.field.from_base(c))).min_poly()
+        if len(minp) == degree + 1:
+            return c, minp
+    raise PrimitiveElementError("no primitive element with multipliers up to +-20")
 
 
 # ---------------------------------------------------------------------------
@@ -589,40 +593,37 @@ def adjoin_root(E, g):
 def _adjoin_root_number_field(E, g):
     """E(xbar) for a root xbar of g, as QQ(gamma) with gamma = xbar + c * alpha.
 
-    gamma is primitive when the minimal polynomial of multiplication by gamma
-    on E[x]/(g) has full degree [E:QQ] * deg g; that polynomial is the modulus.
+    E[x]/(g) has the QQ-basis alpha^i xbar^j, j major; on row vectors,
+    multiplication by alpha is block diagonal and multiplication by xbar
+    shifts j up by one, reducing xbar^n by g.  gamma is primitive when its
+    minimal polynomial has full degree [E:QQ] * deg g; that polynomial is
+    the modulus.  The images of alpha and xbar, the rows e_0 A and e_0 X,
+    are their coordinates in the Krylov vectors e_0 gamma^k.
     """
     from . import polys
     from .linalg import Matrix, coordinates
 
     QQ = rationals()
-    n = polys.degree(g)
+    g = polys.monic(g, E)
+    e, n = E.degree, polys.degree(g)
+    zero, one = QQ.zero(), QQ.one()
+    alpha = _multiplication_rows(E.generator())
+    A = Matrix.from_rows(QQ, [[zero] * (e * j) + row + [zero] * (e * (n - 1 - j))
+                              for j in range(n) for row in alpha])
+    blocks = [_multiplication_rows(-c) for c in g[:n]]
+    X = Matrix.from_rows(QQ, [[one if k == e + r else zero for k in range(e * n)]
+                              for r in range(e * (n - 1))]
+                         + [[v for block in blocks for v in block[i]]
+                            for i in range(e)])
+    c, minp = _primitive_multiplier(X, A, e * n)
+    E2 = number_field([m.coords[0] for m in minp])
+    step = (X + A.scale(QQ.from_base(c))).transpose()
+    krylov = [(one,) + (zero,) * (e * n - 1)]
+    for _ in range(e * n - 1):
+        krylov.append(step.apply(krylov[-1]))
+    in_powers = coordinates(QQ, krylov)
 
-    def mul(a, b):
-        return polys.poly_divmod(polys.mul(a, b, E), g, E)[1]
+    def image(row):
+        return E2.element([v.coords[0] for v in in_powers(row)])
 
-    def coords(a):
-        """Coordinates over QQ in the basis alpha^i xbar^j, j major."""
-        a = list(a) + [E.zero()] * (n - len(a))
-        return [QQ.from_base(v) for c in a for v in c.coords]
-
-    units = [[E.zero()] * j + [E.element([0] * i + [1])]
-             for j in range(n) for i in range(E.degree)]
-    alpha = [E.generator()]          # generator of E as a constant polynomial
-    xbar = [E.zero(), E.one()]       # the adjoined root
-    for c in _multipliers():
-        gamma = polys.add(xbar, [E.from_base(c) * E.generator()], E)
-        minp = Matrix.from_rows(QQ, [coords(mul(u, gamma)) for u in units]).min_poly()
-        if len(minp) <= len(units):
-            continue
-        E2 = number_field([m.coords[0] for m in minp])
-        pows = [[E.one()]]
-        for _ in range(len(units) - 1):
-            pows.append(mul(pows[-1], gamma))
-        in_powers = coordinates(QQ, [coords(a) for a in pows])
-
-        def image(a):
-            return E2.element([v.coords[0] for v in in_powers(coords(a))])
-
-        return E2, FieldEmbedding(E, E2, image(alpha)), image(xbar)
-    raise PrimitiveElementError("no primitive element with multipliers up to +-20")
+    return E2, FieldEmbedding(E, E2, image(A.entries[0])), image(X.entries[0])

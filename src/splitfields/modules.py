@@ -19,6 +19,7 @@ depend on the modules only, never on the generators chosen.
 from __future__ import annotations
 
 import random
+from itertools import chain, product
 from typing import NamedTuple, Optional
 
 from .errors import AlgebraMismatch, BadParams, NotInvariant
@@ -29,7 +30,6 @@ from .linalg import (
     coordinates,
     intertwiners,
     linear_combination,
-    row_space_basis,
 )
 
 
@@ -103,11 +103,6 @@ def spin(M, seed_vectors):
     """
     gens = [M.actions[g] for g in M.algebra._generators()]
     return closure(M.algebra.field, gens, seed_vectors)
-
-
-def is_invariant(M, vectors):
-    basis = row_space_basis(M.algebra.field, vectors)
-    return spin(M, basis) == basis
 
 
 class SubQuotient(NamedTuple):
@@ -220,9 +215,9 @@ _EXHAUSTIVE_CAP = 1 << 16
 def is_isomorphic(M, N, seed=0):
     """Search for an invertible intertwiner.
 
-    Basis elements first, then seeded random small-coefficient combinations;
+    Basis elements first, then the combinations of ``_hom_combinations``;
     over finite fields at desk scale the search is exhaustive and the verdict
-    is decisive.  Over QQ a cap-out returns Unknown (``isomorphic=None``).
+    is decisive.  Otherwise a cap-out returns Unknown (``isomorphic=None``).
     """
     if M.algebra != N.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -233,28 +228,31 @@ def is_isomorphic(M, N, seed=0):
     hb = hom_space(M, N)
     if not hb.mats:
         return IsoResult(False, None)
-    for f in hb.mats:
+    exhaustive, combinations = _hom_combinations(hb.mats, random.Random(seed))
+    for f in chain(hb.mats, combinations):
         if f.is_invertible():
             return IsoResult(True, f)
-    field = M.algebra.field
-    d = len(hb.mats)
-    if field.characteristic and field.order ** d <= _EXHAUSTIVE_CAP:
-        from itertools import product as iproduct
+    return IsoResult(False if exhaustive else None, None)
 
-        for coeffs in iproduct(*[list(field.elements())] * d):
-            if any(coeffs):
-                f = linear_combination(coeffs, hb.mats)
-                if f.is_invertible():
-                    return IsoResult(True, f)
-        return IsoResult(False, None)
-    rng = random.Random(seed)
-    for _ in range(_RANDOM_CAP):
-        coeffs = [_random_scalar(field, rng) for _ in range(d)]
-        if any(coeffs):
-            f = linear_combination(coeffs, hb.mats)
-            if f.is_invertible():
-                return IsoResult(True, f)
-    return IsoResult(None, None)
+
+def _hom_combinations(mats, rng):
+    """The nonzero combinations of a hom basis, and whether they are all.
+
+    Over a finite field with at most ``_EXHAUSTIVE_CAP`` coefficient vectors
+    these are every one, in ``product`` order; otherwise they are the nonzero
+    ones among ``_RANDOM_CAP`` draws of ``_random_scalar`` from ``rng``,
+    drawn as the combinations are taken.
+    """
+    field = mats[0].field
+    d = len(mats)
+    exhaustive = bool(field.characteristic) and field.order ** d <= _EXHAUSTIVE_CAP
+    if exhaustive:
+        coeff_lists = product(field.elements(), repeat=d)
+    else:
+        coeff_lists = ([_random_scalar(field, rng) for _ in range(d)]
+                       for _ in range(_RANDOM_CAP))
+    return exhaustive, (linear_combination(coeffs, mats)
+                        for coeffs in coeff_lists if any(coeffs))
 
 
 def _random_scalar(field, rng):

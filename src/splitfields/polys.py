@@ -32,30 +32,6 @@ def degree(coeffs):
     return len(trim(coeffs)) - 1
 
 
-def add(a, b, F):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero()
-        y = b[i] if i < len(b) else F.zero()
-        out.append(x + y)
-    return trim(out)
-
-
-def mul(a, b, F):
-    a, b = trim(a), trim(b)
-    if not a or not b:
-        return []
-    out = [F.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return trim(out)
-
-
 def poly_divmod(a, b, F):
     a, b = trim(a), trim(b)
     if not b:

@@ -8,11 +8,15 @@ nilpotent, semisimple quotient).
 Composition factors are found by a MeatAxe-style splitting loop: kernels of
 irreducible factors of the minimal polynomial of a seeded pseudo-random
 algebra element are spun into invariant subspaces, with Norton's dual test
-used for decisive simplicity certificates and an endomorphism-algebra
-division certificate as the documented fallback.
+used for decisive simplicity certificates.  The last resort is decisive
+over a finite field: it spins every vector, as the oracle does, when the
+module has at most ``_ORACLE_BOUND`` vectors, and raises ``Inconclusive``
+otherwise.  In characteristic 0, where the radical is split off first, it is
+the randomized endomorphism-algebra division certificate.
 
 The brute-force oracle enumerates every vector of a small finite-field
-module and is kept independent of the MeatAxe path for cross-validation.
+module; apart from that shared search it is independent of the MeatAxe path
+for cross-validation.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import Inconclusive, TooLarge
 from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 from .modules import (
     Module,
+    _hom_combinations,
     _random_scalar,
     hom_space,
     spin,
@@ -32,7 +37,6 @@ from .modules import (
 )
 
 _MEATAXE_ATTEMPTS = 100
-_DIVISION_CAP = 200
 _ORACLE_BOUND = 1 << 20
 
 
@@ -182,7 +186,7 @@ def _find_proper_submodule(M, seed, rad):
     ``rad`` is the basis of Rad A in characteristic 0 and None otherwise.
 
     Raises Inconclusive when neither a submodule nor a simplicity certificate
-    is found within the documented caps (possible over QQ only).
+    is found within the documented caps.
     """
     field = M.algebra.field
     if M.dim == 1:
@@ -254,7 +258,14 @@ def _find_proper_submodule(M, seed, rad):
             found = _proper(M, row_space_basis(field, N.kernel_basis()))
             if found:
                 return found
-    if _division_certificate(M.algebra.field, hb.mats, rng):
+    # last resort: over a small finite field, spin every vector (End(M)
+    # alone cannot decide, as a non-split extension may have End = k); in
+    # characteristic 0, where M is semisimple, every drawn endomorphism
+    # being invertible counts as a randomized division-algebra certificate
+    if field.characteristic:
+        if field.order ** M.dim <= _ORACLE_BOUND:
+            return _first_proper_cyclic(M)
+    elif all(f.is_invertible() for f in _hom_combinations(hb.mats, rng)[1]):
         return None
     raise Inconclusive(
         "no proper submodule found and no division-algebra certificate "
@@ -292,32 +303,6 @@ def _radical_submodule(M, rad):
     return row_space_basis(M.algebra.field, vecs)
 
 
-def _division_certificate(field, mats, rng):
-    """Every nonzero combination of the hom basis is invertible.
-
-    Exhaustive over small finite fields, randomized and capped over QQ
-    (a cap-out without a counterexample counts as a certificate, per the
-    documented procedure; finding a singular nonzero element refutes it).
-    """
-    d = len(mats)
-    if d == 0:
-        return False
-    if field.characteristic and field.order ** d <= _ORACLE_BOUND:
-        from itertools import product as iproduct
-
-        for coeffs in iproduct(*[list(field.elements())] * d):
-            if any(coeffs) and not linear_combination(coeffs, mats).is_invertible():
-                return False
-        return True
-    if not field.characteristic:
-        for _ in range(_DIVISION_CAP):
-            coeffs = [field.from_base(rng.randint(-5, 5)) for _ in range(d)]
-            if any(coeffs) and not linear_combination(coeffs, mats).is_invertible():
-                return False
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # simple modules
 # ---------------------------------------------------------------------------
@@ -352,13 +337,21 @@ def _all_vectors(field, dim):
         yield coords
 
 
+def _cyclic_spins(M):
+    """The submodule spun by each nonzero vector of M, in ``_all_vectors`` order."""
+    for v in _all_vectors(M.algebra.field, M.dim):
+        if any(v):
+            yield spin(M, [v])
+
+
+def _first_proper_cyclic(M):
+    """The first proper submodule spun by one vector, or None when M is simple."""
+    return next((b for b in _cyclic_spins(M) if len(b) < M.dim), None)
+
+
 def _cyclic_submodules(M):
     seen = {}
-    field = M.algebra.field
-    for v in _all_vectors(field, M.dim):
-        if not any(bool(c) for c in v):
-            continue
-        basis = spin(M, [v])
+    for basis in _cyclic_spins(M):
         seen[tuple(basis)] = basis
     return list(seen.values())
 
@@ -398,13 +391,7 @@ def oracle_is_simple(M):
     _check_oracle_bound(M)
     if M.dim == 0:
         return False
-    field = M.algebra.field
-    for v in _all_vectors(field, M.dim):
-        if not any(bool(c) for c in v):
-            continue
-        if len(spin(M, [v])) < M.dim:
-            return False
-    return True
+    return _first_proper_cyclic(M) is None
 
 
 def oracle_composition_series_dims(M):

@@ -4,12 +4,17 @@ import time
 import pytest
 
 from splitfields import documents as docs
-from splitfields.algebras import cyclic_group_algebra, diagonal_algebra
+from splitfields.algebras import (
+    cyclic_group_algebra,
+    diagonal_algebra,
+    field_algebra,
+)
 from splitfields.basechange import extend_algebra
 from splitfields.cli import main
 from splitfields.corpus import bundled_algebras
 from splitfields.errors import BadParams, TooLarge
 from splitfields.fields import (
+    adjoin_root,
     embed_find,
     finite_field,
     finite_field_of_degree,
@@ -112,6 +117,31 @@ def test_descend_and_written_in(tmp_path, capsys):
                     "--algebra", f"{DATA}/cyclic3_F2.json",
                     "--subfield", f"{DATA}/field_F4.json")
     assert code == 0 and doc["payload"]["writable"] is True
+
+
+def test_written_in_names_the_embedding_it_descends_along(tmp_path, capsys):
+    # E = QQ(cbrt2) inside F = E(omega) is not normal: of the three simples
+    # of (E as a QQ-algebra)^F, on which cbrt2 acts as c, omega c and
+    # omega^2 c, only the one of embed_find(E, F) is written in E along it
+    E = number_field([-2, 0, 0, 1])
+    F, emb_top, omega = adjoin_root(E, [E.one(), E.one(), E.one()])
+    A = field_algebra(E)
+    A_F = extend_algebra(A, embed_find(rationals(), F)).extended
+    c = emb_top.apply(E.generator())
+    algebra, subfield = tmp_path / "algebra.json", tmp_path / "subfield.json"
+    algebra.write_text(docs.dumps(docs.algebra_out(A)))
+    subfield.write_text(docs.dumps(docs.field_out(E)))
+    used = docs.embedding_out(embed_find(E, F))
+    codes = []
+    for t in (c, omega * c, omega * omega * c):
+        module = tmp_path / "module.json"
+        module.write_text(docs.dumps(docs.module_out(
+            Module(A_F, 1, [Matrix(F, 1, 1, [[t ** i]]) for i in range(3)]))))
+        code, doc = run(capsys, "written-in", str(module), "--algebra",
+                        str(algebra), "--subfield", str(subfield))
+        assert doc["payload"]["embedding"] == used
+        codes.append(code)
+    assert sorted(codes) == [0, 1, 1]
 
 
 IDENTITY_F4 = [[[1, 0] if i == j else [0, 0] for j in range(4)]

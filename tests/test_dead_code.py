@@ -7,6 +7,12 @@ dead.  References are matched by name: a ``Name``, an attribute or an
 imported name anywhere in the package counts, except inside the definition
 itself (so a recursive call does not keep a function alive).
 
+A public module-level function or class that ``__init__.py`` does not
+re-export is dead too when nothing refers to it, outside its own
+definition, in ``src/splitfields`` or in ``bench/*.py``; the strings of
+``bench/tracer.py``, which name the functions it wraps, count as
+references.
+
 A name a module imports is dead unless the module reads it as a ``Name``
 somewhere.  The re-exports of ``__init__.py`` and ``from __future__``
 imports are exempt.
@@ -19,6 +25,7 @@ from pathlib import Path
 import splitfields
 
 PACKAGE = Path(splitfields.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _referenced_names(node):
@@ -44,8 +51,7 @@ def _private_definitions(tree):
 
 def unreferenced(package=PACKAGE):
     """``module:name`` of each private definition nothing else refers to."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
+    trees = _parsed(package)
     everywhere = Counter()
     for tree in trees.values():
         everywhere.update(_referenced_names(tree))
@@ -53,6 +59,39 @@ def unreferenced(package=PACKAGE):
     for module, tree in trees.items():
         for node in _private_definitions(tree):
             if everywhere[node.name] == _referenced_names(node)[node.name]:
+                dead.append(f"{module}:{node.name}")
+    return dead
+
+
+def _parsed(package):
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def unexported_unreferenced(package=PACKAGE, outside=BENCH):
+    """``module:name`` of each public module-level function or class that
+    ``__init__.py`` does not re-export and nothing else refers to."""
+    trees = _parsed(package)
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_referenced_names(tree))
+    for name, tree in _parsed(outside).items():
+        everywhere.update(_referenced_names(tree))
+        if name == "tracer":
+            everywhere.update(node.value for node in ast.walk(tree)
+                              if isinstance(node, ast.Constant)
+                              and isinstance(node.value, str))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and node.name not in exported \
+                    and everywhere[node.name] == _referenced_names(node)[node.name]:
                 dead.append(f"{module}:{node.name}")
     return dead
 
@@ -88,6 +127,27 @@ def test_an_unused_private_helper_is_found(tmp_path):
         "    def _take(self):\n        return 2\n\n\n"
         "def public():\n    return _used() + _Box()._take()\n")
     assert unreferenced(tmp_path) == ["a:_unused", "a:_peek"]
+
+
+def test_no_unexported_public_definition_is_dead():
+    assert unexported_unreferenced() == []
+
+
+def test_an_unexported_unused_public_definition_is_found(tmp_path):
+    package, bench = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "__init__.py").write_text("from .a import exported\n")
+    (package / "a.py").write_text(
+        "def exported():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def unused():\n    return unused()\n\n\n"
+        "class Unused:\n    def method(self):\n        return 2\n\n\n"
+        "def traced():\n    return 3\n\n\n"
+        "def benched():\n    return 4\n")
+    (bench / "tracer.py").write_text('FUNCTIONS = (("a", "traced"),)\n')
+    (bench / "run.py").write_text("from pkg.a import benched\n")
+    assert unexported_unreferenced(package, bench) == ["a:unused", "a:Unused"]
 
 
 def test_no_import_is_unused():

@@ -236,6 +236,19 @@ def test_adjoin_root_over_number_field():
     assert i * i == -E.one()
 
 
+def test_adjoin_root_over_a_cubic_field():
+    # 3 x 3 blocks of multiplication by cbrt2; the pair generating the
+    # whole field needs a multiplier c != 0 in the primitive-element search
+    E = number_field([-2, 0, 0, 1])
+    F, emb, root = adjoin_root(E, [E.one(), E.one(), E.one()])  # x^2 + x + 1
+    assert F.degree == 6
+    assert root * root + root + F.one() == F.zero()
+    cbrt2 = emb.apply(E.generator())
+    assert cbrt2 ** 3 == F.from_base(2)
+    K, _ = subfield_generated(F, [cbrt2, root])
+    assert K.degree == 6
+
+
 # -- property test of the inverse (fixed examples, no random seed) ----------
 
 INVERSE_FIELDS = (prime_field(2), prime_field(7), finite_field_of_degree(2, 2),

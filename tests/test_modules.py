@@ -23,7 +23,6 @@ from splitfields.modules import (
     direct_sum,
     end_algebra,
     hom_space,
-    is_invariant,
     is_isomorphic,
     module_validate,
     spin,
@@ -31,6 +30,7 @@ from splitfields.modules import (
 )
 from test_scalar_kernels import reference_solve  # Gauss-Jordan apart from Echelon
 from test_structure import _change_basis  # A on a new basis
+from test_structure import _uniserial_ideal  # U_2(F_2) e22, spun by e1, e2
 
 Q = rationals()
 F2 = prime_field(2)
@@ -48,7 +48,7 @@ def test_spin_closes_under_action():
     v = A.basis_vector(2)
     basis = spin(M, [v])
     assert len(basis) == 2
-    assert is_invariant(M, basis)
+    assert spin(M, basis) == basis
 
 
 def test_sub_quotient_splits_dimensions():
@@ -117,6 +117,24 @@ def test_isomorphism_with_witness_conjugate():
     assert W is not None and W.is_invertible()
     for i in range(A.dim):
         assert N.actions[i] @ W == W @ M.actions[i]
+
+
+def test_a_singular_hom_space_is_decisively_not_an_isomorphism():
+    # S1 + S2 and the uniserial ideal A e22 of A = U_2(F_2) both have
+    # dimension 2, and their hom space is 1-dimensional, so the verdict
+    # rests on the exhaustive search over its combinations
+    A = upper_triangular_algebra(2, F2)
+
+    def simple(unit):   # the basis element e11 or e22 acting as 1
+        return Module(A, 1, [Matrix(F2, 1, 1, [[F2.one() if i == unit
+                                                else F2.zero()]])
+                             for i in range(A.dim)])
+
+    S = direct_sum(simple(0), simple(2))
+    N = _uniserial_ideal()
+    assert module_validate(S) is None
+    assert len(hom_space(S, N).mats) == 1
+    assert is_isomorphic(S, N) == (False, None)
 
 
 # -- property tests: generators against every basis element -------------------

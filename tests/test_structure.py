@@ -277,3 +277,26 @@ def test_simple_modules_fill_the_algebra_for_every_seed(A):
         assert sum(mult * S.dim for S, mult in entries) == A.dim
         shapes.append(sorted((S.dim, mult) for S, mult in entries))
     assert shapes[0] == shapes[1] == shapes[2]
+
+
+def _uniserial_ideal():
+    """The left ideal A e22 of A = U_2(F_2), uniserial with End = F_2, in the
+    basis P = [[1, 0], [1, 1]]: both standard vectors spin to the whole."""
+    A = upper_triangular_algebra(2, F2)
+    M = A.regular_module()
+    ideal = sub_quotient(M, spin(M, [A.basis_vector(2)])).sub
+    P = Matrix.from_rows(F2, [[F2.one(), F2.zero()], [F2.one(), F2.one()]])
+    return conjugate(ideal, P)
+
+
+def test_the_last_resort_finds_the_socle_of_a_uniserial_module(monkeypatch):
+    # with no MeatAxe attempt, only the last resort sees the socle; "every
+    # nonzero endomorphism is invertible" held here and called it simple
+    N = _uniserial_ideal()
+    field = N.algebra.field
+    units = [[field.one(), field.zero()], [field.zero(), field.one()]]
+    assert [len(spin(N, [e])) for e in units] == [2, 2]
+    assert not oracle_is_simple(N)
+    monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
+    dims = sorted(S.dim for S, m in composition_factors(N) for _ in range(m))
+    assert dims == oracle_composition_series_dims(N) == [1, 1]
