@@ -12,6 +12,7 @@ our coordinate representation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd as _int_gcd
 
@@ -143,7 +144,9 @@ def _factor_finite(f, F):
     return out
 
 
+@cache
 def _sympy_field(F):
+    """sympy's domain for F, built once per field (descriptors are interned)."""
     import sympy
 
     if F.kind == RATIONALS:

@@ -8,11 +8,16 @@ nilpotent, semisimple quotient).
 Composition factors are found by a MeatAxe-style splitting loop: kernels of
 irreducible factors of the minimal polynomial of a seeded pseudo-random
 algebra element are spun into invariant subspaces, with Norton's dual test
-used for decisive simplicity certificates.  The last resort is decisive
-over a finite field: it spins every vector, as the oracle does, when the
-module has at most ``_ORACLE_BOUND`` vectors, and raises ``Inconclusive``
-otherwise.  In characteristic 0, where the radical is split off first, it is
-the randomized endomorphism-algebra division certificate.
+used for decisive simplicity certificates.  In characteristic 0, where
+the radical is split off first, M is semisimple and so simple iff End(M) is
+a division algebra: once the first attempt has failed, End(M) of dimension
+1, and over QQ a quaternion algebra (a, b) decided by Hilbert symbols
+(Legendre), settle it exactly.  The last resort is decisive over a finite
+field: it spins every vector, as the oracle does, when the module has at
+most ``_ORACLE_BOUND`` vectors, and raises ``Inconclusive`` otherwise.  In
+characteristic 0 it is the randomized endomorphism-algebra division
+certificate, left only for other division algebras (for example quaternion
+algebras over a number field).
 
 The brute-force oracle enumerates every vector of a small finite-field
 module; apart from that shared search it is independent of the MeatAxe path
@@ -22,10 +27,13 @@ for cross-validation.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from . import polys
 from .errors import Inconclusive, TooLarge
+from .fields import RATIONALS
 from .linalg import Echelon, Matrix, linear_combination, row_space_basis
 from .modules import (
     Module,
@@ -210,6 +218,7 @@ def _find_proper_submodule(M, seed, rad):
 
     rng = random.Random(seed)
     certified_simple = False
+    hb = None
     for _ in range(_MEATAXE_ATTEMPTS):
         theta = _random_algebra_element(M.algebra, rng)
         X = M.action_of(theta)
@@ -234,11 +243,17 @@ def _find_proper_submodule(M, seed, rad):
                 break
         if certified_simple:
             return None
+        if semisimple_known and hb is None:
+            # M is semisimple, so it is simple iff End(M) is a division
+            # algebra; asked once the first attempt has failed, so that
+            # nodes the first attempt decides never pay for the hom space
+            hb = hom_space(M, M)
+            if _is_division_end(hb.mats):
+                return None
 
     # fallback: eigen-analysis of the endomorphism algebra
-    hb = hom_space(M, M)
-    if len(hb.mats) == 1 and semisimple_known:
-        return None
+    if hb is None:
+        hb = hom_space(M, M)
     candidates = list(hb.mats)
     for _ in range(20):
         coeffs = [_random_scalar(field, rng) for _ in hb.mats]
@@ -260,8 +275,9 @@ def _find_proper_submodule(M, seed, rad):
                 return found
     # last resort: over a small finite field, spin every vector (End(M)
     # alone cannot decide, as a non-split extension may have End = k); in
-    # characteristic 0, where M is semisimple, every drawn endomorphism
-    # being invertible counts as a randomized division-algebra certificate
+    # characteristic 0, where M is semisimple and End(M) is neither the
+    # field nor a quaternion algebra over QQ, every drawn endomorphism being
+    # invertible counts as a randomized division-algebra certificate
     if field.characteristic:
         if field.order ** M.dim <= _ORACLE_BOUND:
             return _first_proper_cyclic(M)
@@ -292,6 +308,109 @@ def _random_algebra_element(A, rng):
 def _is_scalar_matrix(f):
     """Whether the square matrix f is a scalar multiple of the identity."""
     return f == Matrix.identity(f.field, f.rows).scale(f.entries[0][0])
+
+
+# ---------------------------------------------------------------------------
+# decisive division tests for End(M)
+# ---------------------------------------------------------------------------
+
+def _is_division_end(mats):
+    """Whether the endomorphism algebra with basis ``mats`` is decisively a
+    division algebra: the base field itself, or over QQ a quaternion algebra
+    (a, b) that does not split.  False means undecided, not split."""
+    if len(mats) == 1:
+        return True
+    if len(mats) != 4 or mats[0].field.kind != RATIONALS:
+        return False
+    ab = _quaternion_parameters(mats)
+    return ab is not None and _is_division_quaternion(*ab)
+
+
+def _quaternion_parameters(mats):
+    """(a, b) with End = (a, b / QQ) for the 4-dim End spanned by ``mats``, or
+    None when this presentation fails (End is then commutative or split).
+
+    i is the first nonzero trace-zero part of a basis element; j is the first
+    nonzero y - i y i / a over the trace-zero parts y, the part of y that
+    anticommutes with i.  Then i^2 = a, j^2 = b, ij = -ji and 1, i, j, ij
+    independent present End as (a, b / QQ).
+    """
+    field = mats[0].field
+    one = Matrix.identity(field, mats[0].rows)
+    n = field.from_base(mats[0].rows)
+    pure = [f + one.scale(-(f.trace() / n)) for f in mats]
+    pure = [y for y in pure if not y.is_zero()]
+    if not pure:
+        return None
+    i = pure[0]
+    a = _square_scalar(i)
+    if a is None:
+        return None
+    for y in pure:
+        j = y + (i @ y @ i).scale(-a.inverse())
+        if not j.is_zero():
+            break
+    else:
+        return None
+    b = _square_scalar(j)
+    ij = i @ j
+    if b is None or not (ij + j @ i).is_zero() \
+            or len(Echelon(field, [m.vec() for m in (one, i, j, ij)])) < 4:
+        return None
+    return a.coords[0], b.coords[0]
+
+
+def _square_scalar(x):
+    """The nonzero scalar c with x^2 = c I, or None."""
+    sq = x @ x
+    c = sq.entries[0][0]
+    return c if c and _is_scalar_matrix(sq) else None
+
+
+def _is_division_quaternion(a, b):
+    """Whether (a, b / QQ), a and b nonzero rationals, is a division algebra.
+
+    It splits iff a x^2 + b y^2 = z^2 has a nontrivial rational solution,
+    iff the Hilbert symbol (a, b)_v is 1 at every place v (Legendre); only
+    v = infinity and the primes dividing 2ab can give -1.
+    """
+    a, a_primes = _squarefree(Fraction(a))
+    b, b_primes = _squarefree(Fraction(b))
+    if a < 0 and b < 0:
+        return True
+    return any(_hilbert_symbol(a, b, p) == -1
+               for p in {2, *a_primes, *b_primes})
+
+
+def _squarefree(c):
+    """The square-free integer in the square class of the nonzero rational c,
+    and its prime divisors."""
+    from sympy import factorint
+
+    n = c.numerator * c.denominator
+    primes = [p for p, e in factorint(abs(n)).items() if e % 2]
+    return (-1 if n < 0 else 1) * prod(primes), primes
+
+
+def _hilbert_symbol(a, b, p):
+    """(a, b)_p for square-free integers a, b and a prime p (Serre, "A Course
+    in Arithmetic", III.1.2, Theorem 1), with Euler's criterion for the
+    Legendre symbols."""
+    alpha, beta = int(a % p == 0), int(b % p == 0)
+    u = a // p if alpha else a
+    v = b // p if beta else b
+    if p == 2:
+        e = ((u - 1) // 2) * ((v - 1) // 2) \
+            + alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
+    else:
+        e = alpha * beta * ((p - 1) // 2) \
+            + beta * _non_residue(u, p) + alpha * _non_residue(v, p)
+    return -1 if e % 2 else 1
+
+
+def _non_residue(u, p):
+    """1 when the unit u is not a square mod the odd prime p, else 0."""
+    return int(pow(u, (p - 1) // 2, p) != 1)
 
 
 def _radical_submodule(M, rad):

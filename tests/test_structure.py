@@ -1,22 +1,36 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitfields import structure
+from splitfields import polys, structure
 from splitfields.algebras import (
     Algebra,
     algebra_validate,
     cyclic_group_algebra,
     diagonal_algebra,
+    field_algebra,
     matrix_algebra,
     quaternion_algebra,
     upper_triangular_algebra,
 )
 from splitfields.corpus import bundled_algebras
-from splitfields.fields import finite_field_of_degree, prime_field, rationals
+from splitfields.fields import (
+    finite_field_of_degree,
+    number_field,
+    prime_field,
+    rationals,
+)
 from splitfields.linalg import Matrix
-from splitfields.modules import conjugate, direct_sum, spin, sub_quotient
+from splitfields.modules import (
+    conjugate,
+    direct_sum,
+    hom_space,
+    spin,
+    sub_quotient,
+)
 from splitfields.structure import (
     composition_factors,
     is_semisimple,
@@ -300,3 +314,76 @@ def test_the_last_resort_finds_the_socle_of_a_uniserial_module(monkeypatch):
     monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
     dims = sorted(S.dim for S, m in composition_factors(N) for _ in range(m))
     assert dims == oracle_composition_series_dims(N) == [1, 1]
+
+
+def _conic_has_point(a, b):
+    """Whether a x^2 + b y^2 = z^2 has a solution with 0 <= x, y < 60, not
+    both zero."""
+    for x in range(60):
+        for y in range(60):
+            t = a * x * x + b * y * y
+            if (x or y) and t >= 0 and isqrt(t) ** 2 == t:
+                return True
+    return False
+
+
+def test_the_division_test_agrees_with_a_conic_search():
+    values = [c for c in range(-12, 13) if c]
+    for a in values:
+        for b in values:
+            assert structure._is_division_quaternion(a, b) \
+                == (not _conic_has_point(a, b)), (a, b)
+
+
+def test_the_division_test_reads_rationals_up_to_squares():
+    assert structure._is_division_quaternion(Fraction(-1, 4), Fraction(-9, 2)) \
+        == structure._is_division_quaternion(-1, -2) is True
+    assert structure._is_division_quaternion(Fraction(2, 9), Fraction(7, 25)) \
+        == structure._is_division_quaternion(2, 7) is False
+
+
+@pytest.mark.parametrize("a, b, shape, division", [
+    (-1, -1, [(4, 1)], True),
+    (-1, 3, [(4, 1)], True),
+    (1, 1, [(2, 2)], False),
+    (2, 7, [(2, 2)], False),
+])
+def test_quaternion_algebras_over_QQ(a, b, shape, division):
+    M = quaternion_algebra(a, b, Q).regular_module()
+    # End(A) of the regular module is A^op, again the quaternion algebra (a, b)
+    assert structure._is_division_end(hom_space(M, M).mats) is division
+    assert [(S.dim, m) for S, m in composition_factors(M)] == shape
+
+
+def test_a_sum_of_two_quaternion_modules_is_not_decided_by_its_end():
+    H = quaternion_algebra(-1, -1, Q).regular_module()
+    HH = direct_sum(H, H)
+    mats = hom_space(HH, HH).mats
+    assert len(mats) == 16 and not structure._is_division_end(mats)
+    assert [(S.dim, m) for S, m in composition_factors(HH)] == [(4, 2)]
+
+
+def test_a_quartic_field_is_not_taken_for_a_quaternion_algebra(monkeypatch):
+    # End of the regular module of QQ(zeta_8) is commutative of dimension 4:
+    # no quaternion presentation, so only the last resort decides it
+    M = field_algebra(number_field([1, 0, 0, 0, 1])).regular_module()
+    mats = hom_space(M, M).mats
+    assert len(mats) == 4 and structure._quaternion_parameters(mats) is None
+    assert not structure._is_division_end(mats)
+    monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
+    assert [(S.dim, m) for S, m in composition_factors(M)] == [(4, 1)]
+
+
+def test_the_quaternions_cost_at_most_two_factorizations(monkeypatch):
+    calls = []
+    original = polys.factor
+
+    def counted(f, F):
+        calls.append(f)
+        return original(f, F)
+
+    monkeypatch.setattr(polys, "factor", counted)
+    H = quaternion_algebra(-1, -1, Q)
+    assert [(S.dim, m) for S, m in composition_factors(H.regular_module())] \
+        == [(4, 1)]
+    assert len(calls) <= 2
