@@ -15,9 +15,12 @@ a division algebra: once the first attempt has failed, End(M) of dimension
 (Legendre), settle it exactly.  The last resort is decisive over a finite
 field: it spins every vector, as the oracle does, when the module has at
 most ``_ORACLE_BOUND`` vectors, and raises ``Inconclusive`` otherwise.  In
-characteristic 0 it is the randomized endomorphism-algebra division
-certificate, left only for other division algebras (for example quaternion
-algebras over a number field).
+characteristic 0 it is one pass over End(M) (Holt & Rees): the first
+endomorphism whose minimal polynomial is reducible splits M, and when the
+hom basis and the seeded combinations all have irreducible minimal
+polynomials, M is taken as simple.  Only that verdict is randomized; it is
+left for other division algebras (for example quaternion algebras over a
+number field).
 
 The brute-force oracle enumerates every vector of a small finite-field
 module; apart from that shared search it is independent of the MeatAxe path
@@ -28,13 +31,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from typing import NamedTuple
 
 from . import polys
 from .errors import Inconclusive, TooLarge
 from .fields import RATIONALS
-from .linalg import Echelon, Matrix, linear_combination, row_space_basis
+from .linalg import Echelon, Matrix, row_space_basis
 from .modules import (
     Module,
     _hom_combinations,
@@ -193,20 +197,18 @@ def _find_proper_submodule(M, seed, rad):
 
     ``rad`` is the basis of Rad A in characteristic 0 and None otherwise.
 
-    Raises Inconclusive when neither a submodule nor a simplicity certificate
-    is found within the documented caps.
+    Raises Inconclusive over a finite field when the MeatAxe attempts find
+    nothing and the module has more than ``_ORACLE_BOUND`` vectors.
     """
     field = M.algebra.field
     if M.dim == 1:
         return None
 
     # characteristic 0: split off (Rad A) M first; what remains is semisimple
-    semisimple_known = False
     if rad is not None:
         found = _proper(M, _radical_submodule(M, rad))
         if found:
             return found
-        semisimple_known = True
 
     # cheap deterministic pass: spin the standard basis vectors
     for j in range(M.dim):
@@ -217,7 +219,6 @@ def _find_proper_submodule(M, seed, rad):
             return found
 
     rng = random.Random(seed)
-    certified_simple = False
     hb = None
     for _ in range(_MEATAXE_ATTEMPTS):
         theta = _random_algebra_element(M.algebra, rng)
@@ -239,11 +240,8 @@ def _find_proper_submodule(M, seed, rad):
                     dbasis = spin(dual, [w])
                     if len(dbasis) < M.dim:
                         return _annihilator(M, dbasis)
-                certified_simple = True
-                break
-        if certified_simple:
-            return None
-        if semisimple_known and hb is None:
+                return None
+        if rad is not None and hb is None:
             # M is semisimple, so it is simple iff End(M) is a division
             # algebra; asked once the first attempt has failed, so that
             # nodes the first attempt decides never pay for the hom space
@@ -251,41 +249,30 @@ def _find_proper_submodule(M, seed, rad):
             if _is_division_end(hb.mats):
                 return None
 
-    # fallback: eigen-analysis of the endomorphism algebra
-    if hb is None:
-        hb = hom_space(M, M)
-    candidates = list(hb.mats)
-    for _ in range(20):
-        coeffs = [_random_scalar(field, rng) for _ in hb.mats]
-        candidates.append(linear_combination(coeffs, hb.mats))
-    for f in candidates:
-        if _is_scalar_matrix(f):
-            continue
-        if not f.is_invertible():
-            found = _proper(M, row_space_basis(field, f.kernel_basis()))
-            if found:
-                return found
-        fs = polys.factor(f.min_poly(), field)
-        if len(fs) > 1 or fs[0][1] > 1:
-            g = fs[0][0]
-            N = polys.eval_matrix(g, f)
-            # N commutes with the action, so its kernel is a submodule
-            found = _proper(M, row_space_basis(field, N.kernel_basis()))
-            if found:
-                return found
-    # last resort: over a small finite field, spin every vector (End(M)
-    # alone cannot decide, as a non-split extension may have End = k); in
-    # characteristic 0, where M is semisimple and End(M) is neither the
-    # field nor a quaternion algebra over QQ, every drawn endomorphism being
-    # invertible counts as a randomized division-algebra certificate
+    # last resort.  Over a finite field End(M) cannot decide (a non-split
+    # extension may have End = k), so spin every vector of a small module.
     if field.characteristic:
         if field.order ** M.dim <= _ORACLE_BOUND:
             return _first_proper_cyclic(M)
-    elif all(f.is_invertible() for f in _hom_combinations(hb.mats, rng)[1]):
-        return None
-    raise Inconclusive(
-        "no proper submodule found and no division-algebra certificate "
-        f"for a module of dimension {M.dim} over {field}")
+        raise Inconclusive(
+            f"no proper submodule in {_MEATAXE_ATTEMPTS} MeatAxe attempts on "
+            f"a module of dimension {M.dim} over {field}, and its "
+            f"{field.order}^{M.dim} = {field.order ** M.dim} vectors exceed "
+            f"the oracle bound {_ORACLE_BOUND}")
+    # In characteristic 0 M is semisimple: an endomorphism f whose minimal
+    # polynomial has a proper factor g gives the submodule ker g(f); when
+    # the basis and the drawn combinations have none, every minimal
+    # polynomial was irreducible, a randomized division-algebra certificate
+    if hb is None:
+        hb = hom_space(M, M)
+    for f in chain(hb.mats, _hom_combinations(hb.mats, rng)[1]):
+        if _is_scalar_matrix(f):
+            continue
+        fs = polys.factor(f.min_poly(), field)
+        if len(fs) > 1 or fs[0][1] > 1:
+            N = polys.eval_matrix(fs[0][0], f)
+            return row_space_basis(field, N.kernel_basis())
+    return None
 
 
 def _dual_module(M):

@@ -1,9 +1,10 @@
+import io
 import json
 import time
 
 import pytest
 
-from splitfields import documents as docs
+from splitfields import documents as docs, structure
 from splitfields.algebras import (
     cyclic_group_algebra,
     diagonal_algebra,
@@ -91,6 +92,22 @@ def test_extend_then_split_check(tmp_path, capsys):
     path.write_text(docs.dumps(doc))
     code, doc = run(capsys, "split-check", str(path))
     assert code == 0 and doc["payload"]["verdict"] is True
+
+
+def test_extend_a_module_document(tmp_path, capsys):
+    # the base change of the regular module is the regular module of A^F
+    path = tmp_path / "regular.json"
+    A = cyclic_group_algebra(4, rationals())
+    path.write_text(docs.dumps(docs.module_out(A.regular_module())))
+    code, doc = run(capsys, "extend", str(path),
+                    "--field", f"{DATA}/field_QQ_i.json")
+    assert code == 0
+    kind, V = docs.parse_any(docs.dumps(doc))
+    code, doc = run(capsys, "extend", f"{DATA}/cyclic4_QQ.json",
+                    "--field", f"{DATA}/field_QQ_i.json")
+    assert code == 0
+    _, B = docs.parse_any(docs.dumps(doc))
+    assert kind == "module" and V == B.regular_module()
 
 
 def test_descend_and_written_in(tmp_path, capsys):
@@ -264,6 +281,24 @@ def test_extension_of_a_large_prime_field_is_too_large(tmp_path):
     t0 = time.perf_counter()
     assert main(["validate", str(path)]) == 2
     assert time.perf_counter() - t0 < 1
+
+
+def test_a_document_is_read_from_stdin(monkeypatch, capsys):
+    path = f"{DATA}/upper2_QQ.json"
+    assert main(["radical", path]) == 0
+    from_file = capsys.readouterr().out
+    with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+    assert main(["radical", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+def test_an_inconclusive_search_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
+    monkeypatch.setattr(structure, "_ORACLE_BOUND", 2)
+    assert main(["simples", f"{DATA}/gf4_over_F2.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("inconclusive: ")
 
 
 def test_missing_file_exits_2(capsys):

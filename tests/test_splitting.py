@@ -139,6 +139,15 @@ def test_chain_finite_tower():
     assert rep.side_mid is True and rep.side_top is True
 
 
+def test_chain_negative_top_over_a_finite_field():
+    # F_2 is not a splitting field of F_2 C_3 (x^2 + x + 1 is irreducible),
+    # so the top side is false without any descent
+    ident = identity_embedding(F2)
+    rep = verify_chain_theorem(cyclic_group_algebra(3, F2), ident, ident)
+    assert rep.side_top is False and rep.side_mid is False
+    assert rep.decisive and rep.agree and rep.details == ()
+
+
 def test_chain_negative_mid():
     # QQ is not a splitting field of QC_3, and neither side claims it is
     Qz = number_field([1, 1, 1])

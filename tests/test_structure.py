@@ -17,6 +17,7 @@ from splitfields.algebras import (
     upper_triangular_algebra,
 )
 from splitfields.corpus import bundled_algebras
+from splitfields.errors import Inconclusive
 from splitfields.fields import (
     finite_field_of_degree,
     number_field,
@@ -314,6 +315,34 @@ def test_the_last_resort_finds_the_socle_of_a_uniserial_module(monkeypatch):
     monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
     dims = sorted(S.dim for S, m in composition_factors(N) for _ in range(m))
     assert dims == oracle_composition_series_dims(N) == [1, 1]
+
+
+def test_a_finite_field_beyond_the_oracle_bound_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
+    monkeypatch.setattr(structure, "_ORACLE_BOUND", 2)
+    with pytest.raises(Inconclusive, match=r"in 0 MeatAxe attempts .* "
+                       r"2\^2 = 4 vectors exceed the oracle bound 2$"):
+        composition_factors(_uniserial_ideal())
+
+
+def test_the_end_pass_splits_what_no_standard_vector_splits(monkeypatch):
+    # QQ x QQ in the basis [[1, 1], [1, 2]]: both standard vectors spin to
+    # the whole, so with no MeatAxe attempt only the pass over End(M) sees
+    # the two lines
+    zero, one, two = Q.zero(), Q.one(), Q.from_base(2)
+    P = Matrix.from_rows(Q, [[one, one], [one, two]])
+    M = conjugate(diagonal_algebra(2, Q).regular_module(), P)
+    units = [[one, zero], [zero, one]]
+    assert [len(spin(M, [e])) for e in units] == [2, 2]
+    monkeypatch.setattr(structure, "_MEATAXE_ATTEMPTS", 0)
+    assert [(S.dim, m) for S, m in composition_factors(M)] == [(1, 1), (1, 1)]
+
+
+def test_the_oracle_closes_cyclic_submodules_under_sums():
+    # T + T for the 1-dim simple T of F_2: three lines, and the whole
+    # 2-dim module, which no single vector spins to
+    T = matrix_algebra(1, F2).regular_module()
+    assert oracle_submodules(direct_sum(T, T)) == [0, 1, 1, 1, 2]
 
 
 def _conic_has_point(a, b):
