@@ -54,6 +54,7 @@ from .basechange import (
     descend_module,
     extend_algebra,
     extend_module,
+    map_matrix,
     theta_apply,
     theta_dim_check,
     write_in,

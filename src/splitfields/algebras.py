@@ -48,6 +48,8 @@ class Algebra:
                 for e in vec:
                     if e.field != field:
                         raise FieldMismatch("structure constant outside the field")
+        if any(e.field != field for e in self.unit):
+            raise FieldMismatch("unit coordinate outside the field")
         self._key = None
         self._gens = None
 

@@ -1,13 +1,16 @@
 """Scalar extension of algebras and modules, and descent to subfields.
 
 Extension maps structure constants and action matrices entrywise through an
-explicit field embedding.  The hom-space dimension identity (extension
-commutes with taking intertwiners) is checked exactly; a failure is raised as
-an internal invariant breach, never returned as data.  Descent recovers the
-smallest subfield containing all action-matrix entries and rewrites the
-module there.  Its witness is the change of basis itself: extending the
-rewritten module back to F gives V in that basis entry for entry, which is
-checked exactly.
+explicit field embedding, computing one image per distinct scalar: a
+structure-constant table repeats a few scalars many times.  A^F keeps A's
+generating set, since every word in A^F is the image of a word in A and rank
+does not change under field extension.  The hom-space dimension identity
+(extension commutes with taking intertwiners) is checked exactly; a failure
+is raised as an internal invariant breach, never returned as data.  Descent
+recovers the smallest subfield containing all action-matrix entries and
+rewrites the module there.  Its witness is the change of basis itself:
+extending the rewritten module back to F gives V in that basis entry for
+entry, which is checked exactly.
 """
 
 from __future__ import annotations
@@ -39,28 +42,55 @@ class ExtensionContext:
     extended: Algebra
 
 
-def map_matrix(emb, m):
+def _scalar_map(emb):
+    """``emb.apply`` with one call per distinct coordinate vector.  The table
+    lives as long as the returned function, so one base change; callers
+    check the source field once, since the key holds coordinates only."""
+    images = {}
+
+    def image(e):
+        out = images.get(e.coords)
+        if out is None:
+            out = images[e.coords] = emb.apply(e)
+        return out
+    return image
+
+
+def _map_matrix(image, emb, m):
+    if m.field is not emb.source:
+        raise FieldMismatch("matrix is not over the embedding source")
     return Matrix(emb.target, m.rows, m.cols,
-                  [[emb.apply(e) for e in row] for row in m.entries])
+                  [[image(e) for e in row] for row in m.entries])
+
+
+def map_matrix(emb, m):
+    return _map_matrix(_scalar_map(emb), emb, m)
 
 
 def extend_algebra(A, emb):
     """The algebra with the same structure constants over the larger field."""
     if A.field is not emb.source:
         raise FieldMismatch("algebra is not defined over the embedding source")
+    image = _scalar_map(emb)
     # an embedding is an injective ring map, so A^F is valid exactly when A is
-    constants = [[[emb.apply(e) for e in vec] for vec in row]
+    constants = [[[image(e) for e in vec] for vec in row]
                  for row in A.constants]
-    unit = [emb.apply(e) for e in A.unit]
+    unit = [image(e) for e in A.unit]
     extended = Algebra(emb.target, A.dim, A.basis_labels, constants, unit)
+    # each word in A^F is the image of a word in A, and extension keeps ranks
+    extended._gens = A._generators()
     return ExtensionContext(emb, A, extended)
 
 
-def extend_module(M, ctx):
+def _extend_module(M, ctx, image):
     if M.algebra != ctx.algebra:
         raise AlgebraMismatch("module is not over the context's base algebra")
     return Module(ctx.extended, M.dim,
-                  [map_matrix(ctx.emb, a) for a in M.actions])
+                  [_map_matrix(image, ctx.emb, a) for a in M.actions])
+
+
+def extend_module(M, ctx):
+    return _extend_module(M, ctx, _scalar_map(ctx.emb))
 
 
 class ThetaDimCheck(NamedTuple):
@@ -71,8 +101,11 @@ class ThetaDimCheck(NamedTuple):
 
 def theta_dim_check(M, N, ctx):
     """Hom dimensions before and after extension; inequality is a bug."""
+    image = _scalar_map(ctx.emb)
+    MF = _extend_module(M, ctx, image)
+    NF = MF if N is M else _extend_module(N, ctx, image)
     dim_base = len(hom_space(M, N).mats)
-    dim_ext = len(hom_space(extend_module(M, ctx), extend_module(N, ctx)).mats)
+    dim_ext = len(hom_space(MF, NF).mats)
     if dim_base != dim_ext:
         raise InternalInvariantError(
             f"hom dimension changed under extension: {dim_base} != {dim_ext}")
@@ -81,9 +114,10 @@ def theta_dim_check(M, N, ctx):
 
 def theta_apply(f, M, N, ctx):
     """The entrywise-embedded intertwiner, re-verified against the extension."""
-    MF = extend_module(M, ctx)
-    NF = extend_module(N, ctx)
-    g = map_matrix(ctx.emb, f)
+    image = _scalar_map(ctx.emb)
+    MF = _extend_module(M, ctx, image)
+    NF = MF if N is M else _extend_module(N, ctx, image)
+    g = _map_matrix(image, ctx.emb, f)
     for am, an in zip(MF.actions, NF.actions):
         if g @ am != an @ g:
             raise InternalInvariantError("embedded map fails to intertwine")
@@ -97,18 +131,19 @@ def end_algebra_extension_check(M, ctx):
     if M.dim == 0:
         return True
     endA, hb = end_algebra(M)
-    MF = extend_module(M, ctx)
+    image = _scalar_map(ctx.emb)
+    MF = _extend_module(M, ctx, image)
     endF, hbF = end_algebra(MF)
     if endA.dim != endF.dim:
         return False
-    images = [map_matrix(ctx.emb, f) for f in hb.mats]
+    images = [_map_matrix(image, ctx.emb, f) for f in hb.mats]
     span = Echelon(ctx.emb.target, [g.vec() for g in images])
     if len(span) != len(images):
         return False
     # multiplicativity: embedded products match embedded structure constants
     for i, gi in enumerate(images):
         for j, gj in enumerate(images):
-            coeffs = [ctx.emb.apply(c) for c in endA.constants[i][j]]
+            coeffs = [image(c) for c in endA.constants[i][j]]
             if gi @ gj != linear_combination(coeffs, images):
                 return False
     # the images span the full extended endomorphism space

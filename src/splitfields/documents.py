@@ -63,6 +63,8 @@ def document(kind, payload):
 
 
 def _check_keys(d, allowed, where):
+    if not isinstance(d, dict):
+        raise InputError(f"{where} must be a JSON object")
     extra = set(d) - set(allowed)
     if extra:
         raise InputError(f"unknown keys in {where}: {sorted(extra)}")

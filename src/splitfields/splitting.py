@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import polys
-from .basechange import descend_module, extend_algebra, extend_module
+from .basechange import (
+    _scalar_map,
+    descend_module,
+    extend_algebra,
+    extend_module,
+)
 from .errors import (
     DegreeCapExceeded,
     InternalInvariantError,
@@ -145,7 +150,9 @@ def find_splitting_field(A, max_degree=None, seed=0):
         step_degree = polys.degree(g)
         if degree * step_degree > max_degree:
             raise DegreeCapExceeded(
-                f"search exceeded max degree {max_degree}", tower=tower)
+                f"the next root, of degree {step_degree}, would reach degree "
+                f"{degree * step_degree}, beyond the max degree {max_degree}",
+                tower=tower)
         tower.append(step)
         emb_total = compose_embeddings(emb_total, step)
         current = extend_algebra(current, step).extended
@@ -223,9 +230,9 @@ def verify_split_radical(A, emb, seed=0):
         raise PreconditionFailed("the radical extension identity requires a split algebra")
     ctx = extend_algebra(A, emb)
     F = emb.target
+    image = _scalar_map(emb)    # the rows below are over A.field, emb's source
     rad_base = radical(A, seed=seed)
-    extended_rows = [[emb.apply(c) for c in row] for row in rad_base]
-    lhs = row_space_basis(F, extended_rows)
+    lhs = row_space_basis(F, [[image(c) for c in row] for row in rad_base])
     rhs = radical(ctx.extended, seed=seed)
     if lhs != rhs:
         return False
@@ -234,6 +241,6 @@ def verify_split_radical(A, emb, seed=0):
     UF = extend_module(U, ctx)
     rad_U = _radical_submodule(U, rad_base)
     rad_UF = _radical_submodule(UF, rhs)
-    lhs_mod = row_space_basis(F, [[emb.apply(c) for c in row] for row in rad_U])
+    lhs_mod = row_space_basis(F, [[image(c) for c in row] for row in rad_U])
     return lhs_mod == rad_UF
 

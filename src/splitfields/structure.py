@@ -433,7 +433,9 @@ def _check_oracle_bound(M):
     if not field.characteristic:
         raise TooLarge("the oracle requires a finite field")
     if field.order ** M.dim > _ORACLE_BOUND:
-        raise TooLarge("field size ** dim exceeds the oracle bound")
+        raise TooLarge(
+            f"the {field.order}^{M.dim} = {field.order ** M.dim} vectors of "
+            f"the module exceed the oracle bound {_ORACLE_BOUND}")
 
 
 def _all_vectors(field, dim):

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitfields import documents as docs, structure
 from splitfields.algebras import (
@@ -200,6 +203,59 @@ def test_radical_extend_verify(capsys):
 def test_oracle_compare_small(capsys):
     code, doc = run(capsys, "oracle-compare", "--count", "3")
     assert code == 0 and doc["payload"]["mismatches"] == []
+
+
+# JSON values of the wrong type or out of range, one or two at a time
+_MUTANTS = (None, True, 2**70, "1/0", [], 1.5)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    *parents, last = path
+    inner = node
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return node
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(Path(DATA).glob("*.json"))), st.data())
+def test_mutated_documents_never_crash(tmp_path_factory, source, data):
+    """A mutated bundled document exits with a contract code, never a
+    traceback, and prints a report whenever it exits 0 or 1."""
+    doc = json.loads(source.read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _replaced(doc, path, data.draw(st.sampled_from(_MUTANTS)))
+    target = tmp_path_factory.getbasetemp() / "mutant.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(target)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["kind"] == "report"
+
+
+def test_a_non_object_payload_node_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(f"{DATA}/mat1_QQ.json").read_text())
+    doc["payload"]["field"] = 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: field payload must be a JSON object\n"
 
 
 def test_json_boolean_scalar_exits_2(tmp_path):

@@ -108,7 +108,8 @@ def test_find_splitting_field_cyclic4():
 
 def test_find_splitting_field_respects_degree_cap():
     H = quaternion_algebra(-1, -1, Q)
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(DegreeCapExceeded, match=r"of degree 2, would reach "
+                       r"degree 2, beyond the max degree 1$"):
         find_splitting_field(H, max_degree=1)
 
 

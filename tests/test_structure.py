@@ -17,7 +17,7 @@ from splitfields.algebras import (
     upper_triangular_algebra,
 )
 from splitfields.corpus import bundled_algebras
-from splitfields.errors import Inconclusive
+from splitfields.errors import Inconclusive, TooLarge
 from splitfields.fields import (
     finite_field_of_degree,
     number_field,
@@ -323,6 +323,13 @@ def test_a_finite_field_beyond_the_oracle_bound_is_inconclusive(monkeypatch):
     with pytest.raises(Inconclusive, match=r"in 0 MeatAxe attempts .* "
                        r"2\^2 = 4 vectors exceed the oracle bound 2$"):
         composition_factors(_uniserial_ideal())
+
+
+def test_the_oracle_names_the_vectors_it_would_enumerate():
+    M = cyclic_group_algebra(21, F2).regular_module()
+    with pytest.raises(TooLarge, match=r" 2\^21 = 2097152 vectors of the "
+                       r"module exceed the oracle bound 1048576$"):
+        oracle_is_simple(M)
 
 
 def test_the_end_pass_splits_what_no_standard_vector_splits(monkeypatch):
